@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-all bench-diff bench-smoke fuzz-smoke aliascheck chaos loadtest check fmt-check tables tables-full verify
+.PHONY: all build test race bench bench-all bench-diff bench-smoke perfbench perfbench-selftest fuzz-smoke aliascheck chaos loadtest check fmt-check tables tables-full verify
 
 all: build test
 
@@ -81,6 +81,18 @@ bench-diff:
 # One iteration per cell: proves the harness runs, measures nothing.
 bench-smoke:
 	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge' -benchtime=1x .
+
+# The repository benchmark (perfbench/, declared in BENCHMARK.json):
+# every workload once untraced (end-to-end metrics) and once traced
+# (per-layer metrics), seed 1, 25 seconds per run. Fails if any output
+# is wrong.
+perfbench:
+	bash perfbench/all.sh 1 25
+
+# The benchmark's own tests (~2 s): traced and untraced runs agree on
+# Stats and outputs, BENCHMARK.json matches the program's metric list.
+perfbench-selftest:
+	cd perfbench && go test ./...
 
 # Native-fuzz bursts CI runs exactly: 20 seconds on the parallel-merge
 # equivalence fuzzer (random runs, shard counts and data shapes, every

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -248,6 +249,85 @@ func TestResumeOnFileBackendAcrossReopen(t *testing.T) {
 	defer fs2.Close()
 	if _, ok, _ := fs2.LoadManifest(); ok {
 		t.Fatal("manifest survived a completed resume")
+	}
+}
+
+// errSinkFailed is what failWriter returns from every Write.
+var errSinkFailed = errors.New("sink failed")
+
+// failWriter is an output stream that refuses every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errSinkFailed }
+
+// A checkpointed sort on a user directory keeps its files through the
+// sort's own teardown: after an exit in egest, the store's files and
+// manifest are still on disk, and ResumeStream completes from them alone
+// (no input stream to restart with).
+func TestCheckpointedDirSurvivesTeardown(t *testing.T) {
+	in := randomRecords(1500, 43)
+	dir := t.TempDir()
+	cfg := Config{D: 3, B: 8, K: 3, Algorithm: SRM, Seed: 23, Checkpoint: true,
+		Backend: FileBackend, Dir: dir}
+	var input, want bytes.Buffer
+	if err := WriteRecords(&input, in); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SortStream(bytes.NewReader(input.Bytes()), &want, Config{D: 3, B: 8, K: 3, Algorithm: SRM, Seed: 23}); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := SortStream(bytes.NewReader(input.Bytes()), failWriter{}, cfg); !errors.Is(err, errSinkFailed) {
+		t.Fatalf("sort into a failing sink: err = %v, want %v", err, errSinkFailed)
+	}
+	fs, err := pdisk.NewFileStore(dir, cfg.B, cfg.D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ok, err := fs.LoadManifest()
+	fs.Close()
+	if err != nil || !ok {
+		t.Fatalf("checkpoint manifest did not survive teardown (ok=%v, err=%v)", ok, err)
+	}
+
+	var got bytes.Buffer
+	if _, err := ResumeStream(nil, &got, cfg); err != nil {
+		t.Fatalf("resume from the surviving files: %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("resumed output differs from an uninterrupted sort")
+	}
+}
+
+// A sort whose file-backed store is scratch — a temporary directory, or
+// a user directory without Checkpoint — leaves no files behind.
+func TestScratchFileSortLeavesNoFiles(t *testing.T) {
+	in, vin := randomRecords(1500, 47), benchVarRecords(1500, 47)
+	for _, codec := range []string{"fixed16", "varlen+flate"} {
+		tmp, dir := t.TempDir(), t.TempDir()
+		for _, cfg := range []Config{
+			{D: 3, B: 8, K: 3, Codec: codec, Backend: FileBackend, TempDir: tmp},
+			{D: 3, B: 8, K: 3, Codec: codec, Backend: FileBackend, Dir: dir},
+		} {
+			var err error
+			if codec == "fixed16" {
+				_, _, err = Sort(in, cfg)
+			} else {
+				_, _, err = SortVar(vin, cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, d := range []string{tmp, dir} {
+			left, err := os.ReadDir(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(left) != 0 {
+				t.Errorf("%s: scratch sort left %d entries in %s (first %q)", codec, len(left), d, left[0].Name())
+			}
+		}
 	}
 }
 

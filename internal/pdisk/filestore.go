@@ -654,7 +654,10 @@ func (f *FileStore) Sync() error {
 
 // Close fsyncs and closes every disk file, leaving them on disk so the
 // store can be reopened (or inspected) later. Idempotent.
-func (f *FileStore) Close() error {
+func (f *FileStore) Close() error { return f.close(true) }
+
+// close closes every disk file, fsyncing each first when durable is set.
+func (f *FileStore) close(durable bool) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -664,8 +667,10 @@ func (f *FileStore) Close() error {
 	var firstErr error
 	for _, df := range f.disks {
 		for _, fh := range []*os.File{df.data, df.meta} {
-			if err := fh.Sync(); err != nil && firstErr == nil {
-				firstErr = err
+			if durable {
+				if err := fh.Sync(); err != nil && firstErr == nil {
+					firstErr = err
+				}
 			}
 			if err := fh.Close(); err != nil && firstErr == nil {
 				firstErr = err
@@ -677,8 +682,10 @@ func (f *FileStore) Close() error {
 
 // Remove closes the store (if still open) and deletes its disk files,
 // epoch counter and manifest. The directory itself is left in place.
+// Files about to be deleted are not fsynced first: nothing will read
+// them again, so flushing them to stable storage is wasted I/O.
 func (f *FileStore) Remove() error {
-	firstErr := f.Close()
+	firstErr := f.close(false)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	names := []string{f.epochPath(), f.manifestPath(), f.manifestTmpPath()}

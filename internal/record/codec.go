@@ -23,6 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
+	"sync"
 )
 
 // ErrCorrupt reports an encoding that cannot be decoded: a truncated
@@ -36,8 +38,9 @@ const MaxVarRecordBytes = 1024
 
 // Codec encodes records into block payloads and wire streams.
 //
-// Implementations must be stateless and safe for concurrent use: one
-// codec value is shared by every disk worker of a sort.
+// Implementations must be safe for concurrent use — one codec value is
+// shared by every disk worker of a sort — and may pool scratch state
+// internally.
 type Codec interface {
 	// Name is the codec's registry identity — what checkpoints record
 	// and resumes verify.
@@ -94,26 +97,52 @@ func MakeVar(key, payload []byte) (Record, error) {
 		return Record{}, fmt.Errorf("record: variable-length record encodes to %d bytes, max %d",
 			total, MaxVarRecordBytes)
 	}
-	ext := make([]byte, 0, total)
-	ext = append(ext, pre[:n]...)
-	ext = append(ext, key...)
-	ext = append(ext, payload...)
-	r := Record{Ext: string(ext)}
-	r.Key, r.Val = extPrefixes(key)
+	var sb strings.Builder
+	sb.Grow(total)
+	sb.Write(pre[:n])
+	sb.Write(key)
+	sb.Write(payload)
+	ext := sb.String()
+	r := Record{Ext: ext}
+	r.Key, r.Val = extPrefixes(ext[n : n+len(key)])
 	return r, nil
 }
 
 // VarParts splits a variable-length record back into its key and payload
-// bytes. Records without an Ext (Fixed16 records) are rejected.
+// bytes. Both slices are freshly allocated and owned by the caller; they
+// share one backing array, with key capped at its length so appending to
+// key cannot overwrite payload. Records without an Ext (Fixed16 records)
+// are rejected.
 func VarParts(r Record) (key, payload []byte, err error) {
 	if r.Ext == "" {
 		return nil, nil, fmt.Errorf("record: VarParts of a fixed-size record")
 	}
-	klen, n := binary.Uvarint([]byte(r.Ext[:min(len(r.Ext), binary.MaxVarintLen32)]))
-	if n <= 0 || int(klen) > len(r.Ext)-n {
-		return nil, nil, fmt.Errorf("%w: key length %d overruns %d-byte record", ErrCorrupt, klen, len(r.Ext))
+	klen, n, ok := extKeyLen(r.Ext)
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: key length overruns %d-byte record", ErrCorrupt, len(r.Ext))
 	}
-	return []byte(r.Ext[n : n+int(klen)]), []byte(r.Ext[n+int(klen):]), nil
+	buf := []byte(r.Ext[n:])
+	return buf[:klen:klen], buf[klen:], nil
+}
+
+// extKeyLen decodes the uvarint key length that opens a canonical
+// encoding, returning it with the number of bytes it occupies. ok is
+// false when the varint is invalid, longer than MaxVarintLen32 bytes, or
+// claims more key bytes than ext holds. It reads the string in place, so
+// the comparison hot path allocates nothing.
+func extKeyLen(ext string) (klen, n int, ok bool) {
+	var v uint64
+	for i := 0; i < len(ext) && i < binary.MaxVarintLen32; i++ {
+		b := ext[i]
+		v |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			if v > uint64(len(ext)-i-1) {
+				return 0, 0, false
+			}
+			return int(v), i + 1, true
+		}
+	}
+	return 0, 0, false
 }
 
 // extPrefixes derives the (Key, Val) prefix words of a variable-length
@@ -121,7 +150,7 @@ func VarParts(r Record) (key, payload []byte, err error) {
 // MaxKey, which the forecasting machinery reserves as its "no successor"
 // sentinel — the clamp is monotone, so prefix order stays a coarsening
 // of lexicographic order), Val the big-endian bytes 8..16 zero-padded.
-func extPrefixes(key []byte) (Key, uint64) {
+func extPrefixes(key string) (Key, uint64) {
 	var w [16]byte
 	copy(w[:], key)
 	k := Key(binary.BigEndian.Uint64(w[0:8]))
@@ -139,21 +168,15 @@ func extPrefixes(key []byte) (Key, uint64) {
 // (never produced by MakeVar; possible only for hand-built records)
 // fall back to comparing the raw encodings, keeping the order total.
 func CompareExt(a, b string) int {
-	ak, ap, aerr := VarParts(Record{Ext: a})
-	bk, bp, berr := VarParts(Record{Ext: b})
-	if aerr != nil || berr != nil {
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
+	ak, an, aok := extKeyLen(a)
+	bk, bn, bok := extKeyLen(b)
+	if !aok || !bok {
+		return strings.Compare(a, b)
 	}
-	if c := bytes.Compare(ak, bk); c != 0 {
+	if c := strings.Compare(a[an:an+ak], b[bn:bn+bk]); c != 0 {
 		return c
 	}
-	return bytes.Compare(ap, bp)
+	return strings.Compare(a[an+ak:], b[bn+bk:])
 }
 
 // Fixed16 is the original record layout: 16 bytes little-endian per
@@ -301,35 +324,47 @@ func (v Varlen) MaxBlockBytes(nrec int) int {
 
 // AppendBlock implements Codec.
 func (v Varlen) AppendBlock(dst []byte, rs []Record) ([]byte, error) {
-	body := make([]byte, 0, len(rs)*32)
+	if !v.Flate {
+		return v.appendRecords(append(dst, varlenRaw), rs)
+	}
+	z := deflaters.Get().(*deflater)
+	defer z.release()
 	var err error
+	if z.body, err = v.appendRecords(z.body, rs); err != nil {
+		return nil, err
+	}
+	// Compress straight into dst after the flag byte; if that does not
+	// shrink the body, overwrite it in place with the raw records.
+	start := len(dst)
+	z.out = append(dst, varlenFlate)
+	z.zw.Reset(z)
+	if _, err = z.zw.Write(z.body); err == nil {
+		err = z.zw.Close()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if dst = z.out; len(dst)-start-1 < len(z.body) {
+		return dst, nil
+	}
+	dst = append(dst[:start], varlenRaw)
+	return append(dst, z.body...), nil
+}
+
+// appendRecords appends the wire encoding of every record in rs to dst.
+func (v Varlen) appendRecords(dst []byte, rs []Record) ([]byte, error) {
 	for _, r := range rs {
-		if body, err = v.AppendRecord(body, r); err != nil {
+		var err error
+		if dst, err = v.AppendRecord(dst, r); err != nil {
 			return nil, err
 		}
 	}
-	if v.Flate {
-		var zbuf bytes.Buffer
-		zw, zerr := flate.NewWriter(&zbuf, flate.BestSpeed)
-		if zerr != nil {
-			return nil, zerr
-		}
-		if _, zerr = zw.Write(body); zerr == nil {
-			zerr = zw.Close()
-		}
-		if zerr != nil {
-			return nil, zerr
-		}
-		if zbuf.Len() < len(body) {
-			dst = append(dst, varlenFlate)
-			return append(dst, zbuf.Bytes()...), nil
-		}
-	}
-	dst = append(dst, varlenRaw)
-	return append(dst, body...), nil
+	return dst, nil
 }
 
-// DecodeBlock implements Codec.
+// DecodeBlock implements Codec. Every decoded record's Ext is a
+// substring of one string holding the block body, so a block costs one
+// string allocation however many records it holds.
 func (v Varlen) DecodeBlock(data []byte, nrec int) ([]Record, error) {
 	if len(data) < 1 {
 		return nil, fmt.Errorf("%w: varlen block has no flag byte", ErrCorrupt)
@@ -338,25 +373,16 @@ func (v Varlen) DecodeBlock(data []byte, nrec int) ([]Record, error) {
 	switch data[0] {
 	case varlenRaw:
 	case varlenFlate:
-		// Bound the inflation: a block can never legitimately exceed its
-		// own worst-case raw size, so anything larger is corruption, not
-		// an allocation request.
-		limit := int64(v.MaxBlockBytes(nrec))
-		zr := flate.NewReader(bytes.NewReader(body))
-		inflated, err := io.ReadAll(io.LimitReader(zr, limit+1))
-		if cerr := zr.Close(); err == nil {
-			err = cerr
+		z := inflaters.Get().(*inflater)
+		defer z.release()
+		var err error
+		if body, err = z.inflate(body, v.MaxBlockBytes(nrec)); err != nil {
+			return nil, err
 		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: inflating varlen block: %v", ErrCorrupt, err)
-		}
-		if int64(len(inflated)) > limit {
-			return nil, fmt.Errorf("%w: varlen block inflates past its %d-byte bound", ErrCorrupt, limit)
-		}
-		body = inflated
 	default:
 		return nil, fmt.Errorf("%w: varlen block flag 0x%02x", ErrCorrupt, data[0])
 	}
+	str := string(body)
 	rs := make([]Record, 0, nrec)
 	off := 0
 	for i := 0; i < nrec; i++ {
@@ -368,7 +394,7 @@ func (v Varlen) DecodeBlock(data []byte, nrec int) ([]Record, error) {
 			return nil, fmt.Errorf("%w: record %d claims %d bytes with %d remaining",
 				ErrCorrupt, i, n, len(body)-off-used)
 		}
-		r, err := recordFromExt(body[off+used : off+used+n])
+		r, err := recordFromExt(str[off+used : off+used+n])
 		if err != nil {
 			return nil, fmt.Errorf("%w: record %d: %v", ErrCorrupt, i, err)
 		}
@@ -379,6 +405,83 @@ func (v Varlen) DecodeBlock(data []byte, nrec int) ([]Record, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after %d records", ErrCorrupt, len(body)-off, nrec)
 	}
 	return rs, nil
+}
+
+// deflaters and inflaters pool the flate state of the Varlen codec. A
+// flate.Writer carries about 1 MB of compressor tables, so building one
+// per block would dwarf the block itself; pooling keeps the codec safe
+// for concurrent use while each block borrows private state.
+var (
+	deflaters = sync.Pool{New: func() any {
+		z := new(deflater)
+		// NewWriter fails only for an invalid level; BestSpeed is valid.
+		z.zw, _ = flate.NewWriter(z, flate.BestSpeed)
+		return z
+	}}
+	inflaters = sync.Pool{New: func() any {
+		z := new(inflater)
+		z.zr = flate.NewReader(&z.src)
+		return z
+	}}
+)
+
+// deflater is one block's compressor: the pooled flate.Writer, the
+// record body scratch it compresses, and the destination the compressed
+// bytes are appended to (deflater is the writer's io.Writer).
+type deflater struct {
+	zw   *flate.Writer
+	body []byte
+	out  []byte
+}
+
+// Write appends compressed bytes to the destination block.
+func (z *deflater) Write(p []byte) (int, error) {
+	z.out = append(z.out, p...)
+	return len(p), nil
+}
+
+// release returns z to the pool without holding on to the caller's block.
+func (z *deflater) release() {
+	z.body, z.out = z.body[:0], nil
+	deflaters.Put(z)
+}
+
+// inflater is one block's decompressor: the pooled flate reader, the
+// source it reads, and the scratch buffer it inflates into.
+type inflater struct {
+	src bytes.Reader
+	zr  io.ReadCloser
+	lim io.LimitedReader
+	buf bytes.Buffer
+}
+
+// inflate decompresses body into the inflater's buffer, which stays
+// valid until release. A block can never legitimately exceed limit — its
+// own worst-case raw size — so anything larger is corruption, not an
+// allocation request.
+func (z *inflater) inflate(body []byte, limit int) ([]byte, error) {
+	z.src.Reset(body)
+	// Reset of a flate reader over a flate.Reader source cannot fail.
+	_ = z.zr.(flate.Resetter).Reset(&z.src, nil)
+	z.lim = io.LimitedReader{R: z.zr, N: int64(limit) + 1}
+	z.buf.Reset()
+	_, err := z.buf.ReadFrom(&z.lim)
+	if cerr := z.zr.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: inflating varlen block: %v", ErrCorrupt, err)
+	}
+	if z.buf.Len() > limit {
+		return nil, fmt.Errorf("%w: varlen block inflates past its %d-byte bound", ErrCorrupt, limit)
+	}
+	return z.buf.Bytes(), nil
+}
+
+// release returns z to the pool; the next inflate resets all flate state.
+func (z *inflater) release() {
+	z.src.Reset(nil)
+	inflaters.Put(z)
 }
 
 // AppendRecord implements Codec.
@@ -409,19 +512,23 @@ func (Varlen) ReadRecord(br *bufio.Reader) (Record, error) {
 	if _, err := io.ReadFull(br, ext); err != nil {
 		return Record{}, fmt.Errorf("%w: record truncated inside its %d bytes: %v", ErrCorrupt, n, err)
 	}
-	return recordFromExt(ext)
+	r, err := recordFromExt(string(ext))
+	if err != nil {
+		return Record{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return r, nil
 }
 
 // recordFromExt rebuilds a Record from its canonical encoding, deriving
 // the prefix words from the decoded key — the single source of truth, so
 // a record decoded from disk is identical to the MakeVar original.
-func recordFromExt(ext []byte) (Record, error) {
-	klen, used := binary.Uvarint(ext[:min(len(ext), binary.MaxVarintLen32)])
-	if used <= 0 || int(klen) > len(ext)-used {
+func recordFromExt(ext string) (Record, error) {
+	klen, n, ok := extKeyLen(ext)
+	if !ok {
 		return Record{}, fmt.Errorf("key length overruns %d-byte encoding", len(ext))
 	}
-	r := Record{Ext: string(ext)}
-	r.Key, r.Val = extPrefixes(ext[used : used+int(klen)])
+	r := Record{Ext: ext}
+	r.Key, r.Val = extPrefixes(ext[n : n+klen])
 	return r, nil
 }
 

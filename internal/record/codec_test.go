@@ -3,10 +3,14 @@ package record
 import (
 	"bufio"
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -112,6 +116,50 @@ func TestCompareExtDecodesKeyLength(t *testing.T) {
 	if a.Key != b.Key || a.Val != b.Val {
 		t.Fatal("test vector should be prefix-tied")
 	}
+
+	// Every pair, well-formed or not, must order exactly as the
+	// reference split-then-compare form does.
+	encs := []string{"", "\x00", "\x00p", "\x01", "\x01k", "\x01kp", "\x02k", "\x80",
+		"\x80\x01", "\x80\x80\x80\x80\x80\x01", "\xff\xff\xff\xff\x0f", a.Ext, b.Ext}
+	for _, k := range []string{"", "A", "AB", prefix, prefix + "A"} {
+		for _, p := range []string{"", "p", "q"} {
+			r, _ := MakeVar([]byte(k), []byte(p))
+			encs = append(encs, r.Ext)
+		}
+	}
+	for _, x := range encs {
+		for _, y := range encs {
+			if got, want := CompareExt(x, y), compareExtRef(x, y); got != want {
+				t.Errorf("CompareExt(%q, %q) = %d, reference says %d", x, y, got, want)
+			}
+		}
+	}
+}
+
+// compareExtRef is the reference record order over canonical encodings:
+// split each into key and payload bytes with encoding/binary and compare
+// them with bytes.Compare, falling back to a raw compare when either
+// encoding does not split.
+func compareExtRef(a, b string) int {
+	split := func(ext string) (key, payload []byte, ok bool) {
+		if ext == "" {
+			return nil, nil, false
+		}
+		klen, n := binary.Uvarint([]byte(ext[:min(len(ext), binary.MaxVarintLen32)]))
+		if n <= 0 || klen > uint64(len(ext)-n) {
+			return nil, nil, false
+		}
+		return []byte(ext[n : n+int(klen)]), []byte(ext[n+int(klen):]), true
+	}
+	ak, ap, aok := split(a)
+	bk, bp, bok := split(b)
+	if !aok || !bok {
+		return strings.Compare(a, b)
+	}
+	if c := bytes.Compare(ak, bk); c != 0 {
+		return c
+	}
+	return bytes.Compare(ap, bp)
 }
 
 func TestVarlenBlockRoundTrip(t *testing.T) {
@@ -302,6 +350,13 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 		}
 
+		// CompareExt must agree with the reference order on arbitrary
+		// encodings (both halves of raw) and on generated ones.
+		half := len(raw) / 2
+		if got, want := CompareExt(string(raw[:half]), string(raw[half:])), compareExtRef(string(raw[:half]), string(raw[half:])); got != want {
+			t.Fatalf("CompareExt(%x, %x) = %d, reference says %d", raw[:half], raw[half:], got, want)
+		}
+
 		// Direction 2: generated records must round-trip exactly.
 		g := NewGenerator(seed)
 		n := nrec%64 + 1
@@ -323,6 +378,226 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if dec[i] != rs[i] {
 				t.Fatalf("%s: record %d = %+v, want %+v", codec.Name(), i, dec[i], rs[i])
 			}
+			if j := (i + 1) % n; CompareExt(rs[i].Ext, rs[j].Ext) != compareExtRef(rs[i].Ext, rs[j].Ext) {
+				t.Fatalf("CompareExt(%q, %q) disagrees with the reference", rs[i].Ext, rs[j].Ext)
+			}
 		}
 	})
+}
+
+// freshFlateBlock is the reference Varlen{Flate: true} block encoding:
+// a brand-new flate.Writer per block, as the codec built before it
+// pooled its compressors. Pooled output must match it byte for byte.
+func freshFlateBlock(t *testing.T, rs []Record) []byte {
+	t.Helper()
+	body, err := Varlen{}.AppendBlock(nil, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = body[1:] // drop the raw flag byte
+	var zbuf bytes.Buffer
+	zw, err := flate.NewWriter(&zbuf, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if zbuf.Len() < len(body) {
+		return append([]byte{varlenFlate}, zbuf.Bytes()...)
+	}
+	return append([]byte{varlenRaw}, body...)
+}
+
+// codecTestBlocks returns blocks covering every encoder branch:
+// compressible (flate), incompressible (raw fallback), empty payloads,
+// a single record, and no records at all.
+func codecTestBlocks(t *testing.T, seed int64) map[string][]Record {
+	t.Helper()
+	g := NewGenerator(seed)
+	rng := rand.New(rand.NewSource(seed))
+	mk := func(n, keyLen, payLen int, random bool) []Record {
+		rs := make([]Record, n)
+		for i := range rs {
+			key, pay := make([]byte, keyLen), make([]byte, payLen)
+			if random {
+				rng.Read(key)
+				rng.Read(pay)
+			} else {
+				for j := range key {
+					key[j] = "ACGT"[rng.Intn(4)]
+				}
+			}
+			r, err := MakeVar(key, pay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs[i] = r
+		}
+		return rs
+	}
+	return map[string][]Record{
+		"random":         g.RandomVar(64, 24, 40),
+		"compressible":   mk(64, 20, 32, false),
+		"incompressible": mk(64, 16, 64, true),
+		"empty-payload":  mk(64, 12, 0, false),
+		"one-record":     mk(1, 8, 8, true),
+		"no-records":     nil,
+	}
+}
+
+func TestVarlenPooledFlateMatchesFreshWriter(t *testing.T) {
+	codec := Varlen{Flate: true}
+	blocks := codecTestBlocks(t, 31)
+	sawRaw, sawFlate := false, false
+	// Several rounds, so later blocks run on recycled pool state.
+	for round := 0; round < 3; round++ {
+		for name, rs := range blocks {
+			want := freshFlateBlock(t, rs)
+			prefix := []byte("hdr")
+			got, err := codec.AppendBlock(append([]byte(nil), prefix...), rs)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+				t.Fatalf("%s round %d: pooled encoding differs from a fresh flate.Writer:\n got %x\nwant %x",
+					name, round, got[len(prefix):], want)
+			}
+			sawRaw = sawRaw || want[0] == varlenRaw
+			sawFlate = sawFlate || want[0] == varlenFlate
+			dec, err := codec.DecodeBlock(got[len(prefix):], len(rs))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i := range rs {
+				if dec[i] != rs[i] {
+					t.Fatalf("%s: record %d = %+v, want %+v", name, i, dec[i], rs[i])
+				}
+			}
+		}
+	}
+	if !sawRaw || !sawFlate {
+		t.Fatalf("test blocks miss an encoder branch: raw %v, flate %v", sawRaw, sawFlate)
+	}
+	if freshFlateBlock(t, blocks["incompressible"])[0] != varlenRaw {
+		t.Fatal("incompressible block no longer takes the raw fallback")
+	}
+}
+
+// One codec value is shared by every disk worker of a sort: concurrent
+// encodes and decodes through it must neither race nor cross streams.
+func TestVarlenSharedCodecConcurrent(t *testing.T) {
+	codec := Varlen{Flate: true}
+	var wg sync.WaitGroup
+	for w := 0; w < 16; w++ {
+		blocks := codecTestBlocks(t, int64(100+w))
+		wants := make(map[string][]byte, len(blocks))
+		for name, rs := range blocks {
+			wants[name] = freshFlateBlock(t, rs)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for name, rs := range blocks {
+					enc, err := codec.AppendBlock(nil, rs)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(enc, wants[name]) {
+						t.Errorf("%s: concurrent encoding differs from the reference", name)
+						return
+					}
+					dec, err := codec.DecodeBlock(enc, len(rs))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i := range rs {
+						if dec[i] != rs[i] {
+							t.Errorf("%s: record %d = %+v, want %+v", name, i, dec[i], rs[i])
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// A pooled inflater that failed on a corrupt block must come back
+// clean: the next block it decodes is decoded correctly.
+func TestVarlenPooledReaderRecoversFromCorruptBlock(t *testing.T) {
+	codec := Varlen{Flate: true}
+	rs := codecTestBlocks(t, 41)["compressible"]
+	valid, err := codec.AppendBlock(nil, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if valid[0] != varlenFlate {
+		t.Fatal("test block does not compress")
+	}
+	corrupt := map[string]func() ([]byte, int){
+		"truncated": func() ([]byte, int) { return valid[:len(valid)/2], len(rs) },
+		"bad-block-type": func() ([]byte, int) {
+			b := append([]byte(nil), valid...)
+			b[1] |= 0x06 // BTYPE 11: reserved, an invalid deflate block
+			return b, len(rs)
+		},
+		"past-bound": func() ([]byte, int) { return valid, 1 }, // inflates past 1 record's bound
+	}
+	for round := 0; round < 4; round++ {
+		for name, mk := range corrupt {
+			data, nrec := mk()
+			if _, err := codec.DecodeBlock(data, nrec); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+			}
+			dec, err := codec.DecodeBlock(valid, len(rs))
+			if err != nil {
+				t.Fatalf("valid block after %s: %v", name, err)
+			}
+			for i := range rs {
+				if dec[i] != rs[i] {
+					t.Fatalf("valid block after %s: record %d = %+v, want %+v", name, i, dec[i], rs[i])
+				}
+			}
+		}
+	}
+}
+
+// Allocation guards for the varlen block path and the varlen tie-break.
+// The bounds may only tighten: encoding into a sized buffer allocates
+// nothing, decoding allocates the record slice plus one string for the
+// whole block, and comparing allocates nothing.
+func TestVarlenCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	rs := codecTestBlocks(t, 51)["compressible"]
+	a, b := rs[0].Ext, rs[1].Ext
+	for _, codec := range []Varlen{{}, {Flate: true}} {
+		enc, err := codec.AppendBlock(nil, rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, 0, codec.MaxBlockBytes(len(rs)))
+		for _, c := range []struct {
+			what  string
+			bound float64
+			fn    func()
+		}{
+			{"AppendBlock", 0, func() { _, _ = codec.AppendBlock(dst, rs) }},
+			{"DecodeBlock", 2, func() { _, _ = codec.DecodeBlock(enc, len(rs)) }},
+			{"CompareExt", 0, func() { _ = CompareExt(a, b) }},
+		} {
+			if got := testing.AllocsPerRun(100, c.fn); got > c.bound {
+				t.Errorf("%s %s: %.1f allocs per call, want <= %.0f", codec.Name(), c.what, got, c.bound)
+			}
+		}
+	}
 }

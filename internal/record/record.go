@@ -39,7 +39,10 @@ const MaxKey = Key(^uint64(0))
 // order, every prefix-level comparison in the merge machinery (loser
 // trees, gallop bounds, forecasting keys) remains correct — prefix-equal
 // records are adjudicated by CompareExt. Ext is a string so Record stays
-// comparable (==, map keys) and immutable once built.
+// comparable (==, map keys) and immutable once built. Records decoded
+// from one block share a single block-sized backing string (each Ext is
+// a substring of it), so retaining one decoded record retains its whole
+// block body; copy Ext (strings.Clone) to keep a record past its block.
 type Record struct {
 	Key Key
 	Val uint64

@@ -408,16 +408,18 @@ func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
 			return nil, nil, nil, err
 		}
 		store = fs
-		if c.Dir != "" {
-			// A user-supplied directory is kept; only the store's
-			// scratch files go — unless the sort is checkpointed, in
-			// which case the files ARE the recovery state and survive
-			// every exit.
-			if c.Checkpoint {
-				cleanupStore = func() {}
-			} else {
-				cleanupStore = func() { fs.Remove() }
-			}
+		if c.Dir != "" && c.Checkpoint {
+			// The files of a checkpointed sort ARE the recovery state:
+			// they survive every exit, fsynced by the System's Close.
+			cleanupStore = func() {}
+		} else {
+			// Scratch files: Remove deletes them without the fsync a
+			// Close would spend on them, so the System must not close
+			// the store first. A user-supplied directory is kept; a
+			// temporary one goes with its files.
+			retain = true
+			removeDir := cleanupStore
+			cleanupStore = func() { fs.Remove(); removeDir() }
 		}
 	default:
 		return nil, nil, nil, fmt.Errorf("srmsort: unknown backend %q", c.Backend)
@@ -552,10 +554,7 @@ func sortOrResumeVar(records []VarRecord, cfg Config, resume bool) ([]VarRecord,
 			if err != nil {
 				return err
 			}
-			result = append(result, VarRecord{
-				Key:     append([]byte(nil), key...),
-				Payload: append([]byte(nil), payload...),
-			})
+			result = append(result, VarRecord{Key: key, Payload: payload})
 			return nil
 		})
 	if err != nil {

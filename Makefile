@@ -18,7 +18,8 @@ race:
 # when the host has it — nothing is downloaded), the whole suite under
 # the race detector (the async pipeline's equivalence tests are only
 # meaningful raced), the zero-copy aliasing guard, and one iteration of
-# the end-to-end sort benchmark so the harness can never rot unexercised.
+# the end-to-end and shape benchmarks so the harness can never rot
+# unexercised.
 check: fmt-check build
 	go vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -27,7 +28,7 @@ check: fmt-check build
 		echo "staticcheck not installed; skipping (go vet still ran)"; fi
 	go test -race ./...
 	go test -tags=aliascheck ./internal/pdisk/ ./internal/srm/
-	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge' -benchtime=1x .
+	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge|SortShapes' -benchtime=1x .
 
 # The whole suite with MemStore's zero-copy mutation guard armed: every
 # block read is checksum-audited, so any merge path that mutates a block
@@ -60,11 +61,12 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # The measured end-to-end sort benchmark (alg x backend x D x cores),
-# plus the multicore merge kernel in isolation. Writes BENCH_sort.json
+# plus the multicore merge kernel in isolation and the sortedness shapes
+# (presorted and reversed cells run the merge's gallop mode). Writes BENCH_sort.json
 # with ns/record, B/record and allocs/record per cell — the perf
 # trajectory future PRs regress against (see EXPERIMENTS.md).
 bench:
-	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge' -benchmem . | tee bench_sort_output.txt
+	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge|SortShapes' -benchmem . | tee bench_sort_output.txt
 	go run ./cmd/benchjson -o BENCH_sort.json bench_sort_output.txt
 
 # Every benchmark in the repository (micro and end-to-end).
@@ -75,12 +77,12 @@ bench-all:
 # deltas against the committed BENCH_sort.json baseline — the perf gate a
 # change is judged by before the baseline itself is refreshed.
 bench-diff:
-	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge' -benchmem . | tee bench_sort_output.txt
+	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge|SortShapes' -benchmem . | tee bench_sort_output.txt
 	go run ./cmd/benchjson -diff BENCH_sort.json bench_sort_output.txt
 
 # One iteration per cell: proves the harness runs, measures nothing.
 bench-smoke:
-	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge' -benchtime=1x .
+	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge|SortShapes' -benchtime=1x .
 
 # The repository benchmark (perfbench/, declared in BENCHMARK.json):
 # every workload once untraced (end-to-end metrics) and once traced

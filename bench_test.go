@@ -7,9 +7,11 @@
 package srmsort
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -352,14 +354,30 @@ func BenchmarkSortDeadline(b *testing.B) {
 // BenchmarkSortShapes sweeps the sortedness shapes of internal/sim's
 // input generators (near-sorted, reversed-runs, the up-down zigzag)
 // through a fixed SRM configuration — the baseline the run-formation
-// policy experiments (ROADMAP 5a) will compare against.
+// policy experiments (ROADMAP 5a) will compare against — plus fully
+// presorted and fully reversed inputs. Those two form runs over disjoint
+// key ranges, so every merge is one whole-block streak after another:
+// the cells that show whether the fixed16 consumer's switch from
+// per-record emission to galloping pays for itself.
 func BenchmarkSortShapes(b *testing.B) {
 	const n = 100_000
+	type cell struct {
+		name string
+		in   []Record
+	}
+	var cells []cell
 	for _, shape := range sim.Shapes() {
-		in := shapedRecords(shape, n, 5)
-		b.Run(shape.String(), func(b *testing.B) {
+		cells = append(cells, cell{shape.String(), shapedRecords(shape, n, 5)})
+	}
+	presorted := benchRecords(n, 5)
+	slices.SortFunc(presorted, func(x, y Record) int { return cmp.Compare(x.Key, y.Key) })
+	reversed := slices.Clone(presorted)
+	slices.Reverse(reversed)
+	cells = append(cells, cell{"presorted", presorted}, cell{"reversed", reversed})
+	for _, c := range cells {
+		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				out, _, err := Sort(in, Config{D: 4, B: 64, K: 4, Seed: 11})
+				out, _, err := Sort(c.in, Config{D: 4, B: 64, K: 4, Seed: 11})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -373,7 +373,6 @@ func resumeMerge[R record.KernelRecord](sys *pdisk.System, store pdisk.Store, ma
 		opts := srm.SortOpts{
 			Async:   cfg.Async,
 			Workers: cfg.Workers,
-			Cores:   cfg.cores(),
 			AfterPass: func(pass int, survivors []*runio.Run, seq int) error {
 				if err := cp.save(runGen{
 					Pass:  gen.Pass + pass,

@@ -81,7 +81,7 @@ func main() {
 		file     = flag.Bool("file", false, "deprecated alias for -backend file")
 		seed     = flag.Int64("seed", 1, "random seed (placement and input)")
 		workers  = flag.Int("workers", 0, "goroutines for a pass's merges (SRM only; -1 = GOMAXPROCS)")
-		cores    = flag.Int("cores", 0, "cores per sort step: chunked run formation and sharded merging (0 = GOMAXPROCS, 1 = serial; identical output)")
+		cores    = flag.Int("cores", 0, "cores for run formation: each memory load is sorted in per-core chunks; merge passes are serial (0 = GOMAXPROCS, 1 = serial; identical output)")
 		async    = flag.Bool("async", false, "overlap I/O with merging (SRM/DSM; identical output and I/O statistics)")
 		verify   = flag.Bool("verify", true, "verify the output is sorted")
 		inFile   = flag.String("infile", "", "read wire-format records from this file instead of generating (-n ignored)")

@@ -500,6 +500,8 @@ func FuzzTwoWidthKernelEquiv(f *testing.F) {
 	f.Add(int64(4), uint16(650), uint8(3), uint8(0), uint8(0), uint8(0)) // reversed, SRM, D=1
 	f.Add(int64(5), uint16(400), uint8(4), uint8(0), uint8(3), uint8(6)) // near-MaxKey keys
 	f.Add(int64(6), uint16(0), uint8(0), uint8(1), uint8(1), uint8(1))   // empty input
+	f.Add(int64(7), uint16(900), uint8(2), uint8(0), uint8(3), uint8(6)) // presorted, SRM: whole-block gallops
+	f.Add(int64(8), uint16(700), uint8(1), uint8(0), uint8(1), uint8(2)) // all-equal, SRM: run-index ties only
 
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, shapeRaw, algRaw, dRaw, bRaw uint8) {
 		n := int(nRaw % 2000)

@@ -65,3 +65,40 @@ func TestAliasCheckCleanPathsStayQuiet(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAliasCheckCatchesWriterMutation violates the write side of the
+// ownership contract — the caller mutates a block after handing it to
+// WriteBlocks, which stores it without a copy — and requires the next
+// read, or the free, of that address to panic.
+func TestAliasCheckCatchesWriterMutation(t *testing.T) {
+	for _, op := range []string{"read", "free"} {
+		t.Run(op, func(t *testing.T) {
+			sys, err := NewSystem(Config{D: 2, B: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := sys.Alloc(1)
+			blk := StoredBlock{Recs16: []record.Rec16{{Key: 1, Val: 10}, {Key: 2, Val: 20}}}
+			if err := sys.WriteBlocks([]BlockWrite{{Addr: addr, Block: blk}}); err != nil {
+				t.Fatal(err)
+			}
+			blk.Recs16[1].Val = 99 // the contract violation
+
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s did not panic after a writer mutated the block", op)
+				}
+				msg, ok := r.(string)
+				if !ok || !strings.Contains(msg, "aliascheck") {
+					t.Fatalf("unexpected panic: %v", r)
+				}
+			}()
+			if op == "read" {
+				sys.ReadBlocks([]BlockAddr{addr})
+			} else {
+				sys.FreeBlock(addr)
+			}
+		})
+	}
+}

@@ -213,10 +213,10 @@ type WriteFuture struct {
 }
 
 // WriteBlocksAsync issues one parallel write operation (same rules as
-// WriteBlocks) and returns immediately with a future. The blocks are
-// deep-copied at issue time, so the caller may reuse its buffers as soon
-// as the call returns — the write-behind contract the M_W double buffer
-// relies on.
+// WriteBlocks, ownership handoff included: the store owns each block from
+// the call on, so the caller builds the next stripe in fresh buffers) and
+// returns immediately with a future — the write-behind the M_W double
+// buffer relies on.
 func (s *System) WriteBlocksAsync(writes []BlockWrite) *WriteFuture {
 	addrs, err := s.checkWrites(writes)
 	f := &WriteFuture{sys: s, addrs: addrs}
@@ -236,7 +236,7 @@ func (s *System) WriteBlocksAsync(writes []BlockWrite) *WriteFuture {
 		qs[w.Addr.Disk] <- diskReq{
 			write: true,
 			addr:  w.Addr,
-			block: w.Block.Clone(),
+			block: w.Block,
 			slot:  i,
 			done:  f.done,
 		}

@@ -75,9 +75,11 @@ func TestAsyncReadWriteRoundTrip(t *testing.T) {
 	}
 }
 
-// A caller may reuse its record buffers as soon as WriteBlocksAsync
-// returns: blocks are cloned at issue time.
-func TestAsyncWriteClonesAtIssue(t *testing.T) {
+// WriteBlocksAsync takes ownership of the issued blocks without a copy,
+// exactly like WriteBlocks: the store ends up holding the caller's own
+// record array, so a write-behind writer must build its next stripe in
+// fresh buffers.
+func TestAsyncWriteOwnershipHandoff(t *testing.T) {
 	sys, err := NewSystem(Config{D: 1, B: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -86,9 +88,7 @@ func TestAsyncWriteClonesAtIssue(t *testing.T) {
 
 	blk := mkBlock(1, 2)
 	a := sys.Alloc(0)
-	fut := sys.WriteBlocksAsync([]BlockWrite{{Addr: a, Block: blk}})
-	blk.Records[0].Key = 999 // mutate after issue, before wait
-	if err := fut.Wait(); err != nil {
+	if err := sys.WriteBlocksAsync([]BlockWrite{{Addr: a, Block: blk}}).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := sys.ReadBlocks([]BlockAddr{a})
@@ -96,7 +96,10 @@ func TestAsyncWriteClonesAtIssue(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got[0].Records.FirstKey() != 1 {
-		t.Fatalf("stored key %d, want the value at issue time (1)", got[0].Records.FirstKey())
+		t.Fatalf("stored key %d, want 1", got[0].Records.FirstKey())
+	}
+	if &got[0].Records[0] != &blk.Records[0] {
+		t.Fatal("WriteBlocksAsync copied the block: expected an ownership handoff")
 	}
 }
 

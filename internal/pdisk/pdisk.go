@@ -74,8 +74,9 @@ func (b StoredBlock) Wide() record.Block {
 	return b.Records
 }
 
-// Clone returns a deep copy, so store contents can never be aliased by
-// callers. The representation is preserved.
+// Clone returns a deep copy, for a caller that wants to keep using a block
+// after handing it to WriteBlocks (which takes ownership without copying).
+// The representation is preserved.
 func (b StoredBlock) Clone() StoredBlock {
 	var c StoredBlock
 	if b.Recs16 != nil {
@@ -413,6 +414,12 @@ func (s *System) ReadBlocks(addrs []BlockAddr) ([]StoredBlock, error) {
 
 // WriteBlocks performs one parallel write operation storing every block (at
 // most one per disk). Records in each block must be at most B and sorted.
+//
+// Ownership handoff, the write-side twin of Store.ReadBlock's: the store
+// owns each block from the call on, without a copy. The caller must never
+// touch the block's records or forecast again — every writer (run
+// writers, loaders, DSM, PSV) hands over freshly built blocks. The
+// `aliascheck` build tag catches a caller that breaks this.
 func (s *System) WriteBlocks(writes []BlockWrite) error {
 	addrs, err := s.checkWrites(writes)
 	if err != nil {
@@ -423,7 +430,7 @@ func (s *System) WriteBlocks(writes []BlockWrite) error {
 	err = s.fanout(len(writes), func(i int) error {
 		s.gate.enter(writes[i].Addr.Disk)
 		defer s.gate.exit(writes[i].Addr.Disk)
-		if err := s.store.WriteBlock(writes[i].Addr, writes[i].Block.Clone()); err != nil {
+		if err := s.store.WriteBlock(writes[i].Addr, writes[i].Block); err != nil {
 			return &IOError{Op: "write", Addr: writes[i].Addr, Err: err}
 		}
 		return nil

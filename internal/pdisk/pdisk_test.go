@@ -208,23 +208,26 @@ func TestFreeBlock(t *testing.T) {
 }
 
 func TestStoreOwnershipHandoff(t *testing.T) {
-	// The Store contract is asymmetric: writes copy in (the writer keeps
-	// ownership of its slice), while reads hand out the resident block
-	// zero-copy and the reader promises not to mutate it. See the
-	// aliascheck build tag for the guard that enforces the reader side.
+	// The Store contract is symmetric: a write hands the block to the
+	// store without a copy (the writer never touches it again), and a
+	// read hands out the resident block zero-copy (the reader never
+	// mutates it). The aliascheck build tag arms a guard that enforces
+	// both sides.
 	s := mustSystem(t, 1, 2)
 	a := s.Alloc(0)
 	in := blk(1, 2)
 	if err := s.WriteBlocks([]BlockWrite{{Addr: a, Block: in}}); err != nil {
 		t.Fatal(err)
 	}
-	in.Records[0].Key = 42 // mutate caller copy after write
 	out, err := s.ReadBlocks([]BlockAddr{a})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out[0].Records[0].Key != 1 {
-		t.Fatal("store aliases the writer's slice")
+		t.Fatalf("stored key %d, want 1", out[0].Records[0].Key)
+	}
+	if &out[0].Records[0] != &in.Records[0] {
+		t.Fatal("WriteBlocks copied the block: expected an ownership handoff")
 	}
 	// Zero-copy reads: successive reads of the same address share backing
 	// memory on the in-memory store (no defensive clone on the hot path).

@@ -20,8 +20,9 @@ import (
 // bugs as test failures on every backend alike.
 type Store interface {
 	// WriteBlock stores b at addr, overwriting any previous block. The
-	// block is owned by the store after the call (the System clones on
-	// behalf of its callers — writes always copy in).
+	// block is owned by the store after the call and is never copied in:
+	// the System hands its callers' blocks straight through, and callers
+	// never touch a block they have written (see System.WriteBlocks).
 	WriteBlock(addr BlockAddr, b StoredBlock) error
 	// ReadBlock returns the block at addr; reading an absent block is an
 	// error.

@@ -48,10 +48,8 @@ const (
 )
 
 // Tuning thresholds. Shards below minShard records aren't worth a
-// goroutine + splitter round (the SRM external merge's per-call
-// super-spans are at most R*B records and typically stay under this, so
-// they run serial inside the same code path); chunks below minChunk
-// aren't worth splitting a sort over.
+// goroutine + splitter round; chunks below minChunk aren't worth
+// splitting a sort over.
 const (
 	minShard = 2048
 	minChunk = 1024

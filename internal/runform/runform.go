@@ -96,8 +96,8 @@ func (l *Loader[R]) flush() error {
 	if err := l.sys.WriteBlocks(l.writes); err != nil {
 		return err
 	}
-	// WriteBlocks copied the blocks into the store, so the stripe buffer
-	// (though not the record slices it pointed at) can be reused.
+	// The store now owns the record slices; only the stripe buffer of
+	// BlockWrite headers is reused (cutBlock starts every block fresh).
 	l.writes = l.writes[:0]
 	return nil
 }

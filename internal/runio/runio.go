@@ -142,10 +142,22 @@ func NewWriterAsync[R record.KernelRecord](sys *pdisk.System, id, startDisk int)
 // Append adds the next record of the run. Records must arrive in
 // nondecreasing key order; a violation is a caller bug and panics.
 func (w *Writer[R]) Append(r R) error {
+	return w.Put(r, r.K())
+}
+
+// Put is Append for a caller that already holds the record's key k — the
+// merge kernel's per-record emission, which reads keys from its loser
+// tree. A record that neither starts nor completes a block costs one
+// order check and one store into the block being formed.
+func (w *Writer[R]) Put(r R, k record.Key) error {
+	if n := len(w.cur); n != 0 && n+1 < cap(w.cur) && k >= w.lastKey {
+		w.cur = append(w.cur, r)
+		w.lastKey = k
+		return nil
+	}
 	if w.finished {
 		panic("runio: Append after Finish")
 	}
-	k := r.K()
 	if w.started && k < w.lastKey {
 		panic(fmt.Sprintf("runio: run %d records out of order (%d after %d)",
 			w.run.ID, k, w.lastKey))
@@ -153,19 +165,14 @@ func (w *Writer[R]) Append(r R) error {
 	w.started = true
 	w.lastKey = k
 	if len(w.cur) == 0 {
-		w.firstKeys = append(w.firstKeys, k)
-		if cap(w.cur) < w.sys.B() {
-			w.cur = make([]R, 0, w.sys.B())
-		}
+		w.startBlock(k)
 	}
 	w.cur = append(w.cur, r)
-	w.run.Records++
-	if len(w.cur) == w.sys.B() {
-		w.pending = append(w.pending, w.cur)
-		w.cur = nil
-		return w.drain(false)
+	if len(w.cur) < w.sys.B() {
+		return nil
 	}
-	return nil
+	w.cutBlock()
+	return w.drain(false)
 }
 
 // AppendBlock bulk-appends a sorted span of records — the output of one
@@ -192,21 +199,13 @@ func (w *Writer[R]) AppendBlock(rs []R) error {
 	cut := false
 	for len(rs) > 0 {
 		if len(w.cur) == 0 {
-			w.firstKeys = append(w.firstKeys, rs[0].K())
-			if cap(w.cur) < b {
-				w.cur = make([]R, 0, b)
-			}
+			w.startBlock(rs[0].K())
 		}
-		n := b - len(w.cur)
-		if n > len(rs) {
-			n = len(rs)
-		}
+		n := min(b-len(w.cur), len(rs))
 		w.cur = append(w.cur, rs[:n]...)
-		w.run.Records += n
 		rs = rs[n:]
 		if len(w.cur) == b {
-			w.pending = append(w.pending, w.cur)
-			w.cur = nil
+			w.cutBlock()
 			cut = true
 		}
 	}
@@ -218,6 +217,20 @@ func (w *Writer[R]) AppendBlock(rs []R) error {
 	return w.drain(false)
 }
 
+// startBlock opens a new block whose first key is k. Every block gets a
+// fresh buffer: the store owns a block from its write on.
+func (w *Writer[R]) startBlock(k record.Key) {
+	w.firstKeys = append(w.firstKeys, k)
+	w.cur = make([]R, 0, w.sys.B())
+}
+
+// cutBlock moves the block being formed to the pending queue.
+func (w *Writer[R]) cutBlock() {
+	w.run.Records += len(w.cur)
+	w.pending = append(w.pending, w.cur)
+	w.cur = nil
+}
+
 // Finish flushes all buffered blocks (padding forecasts with MaxKey where no
 // successor exists) and returns the completed run descriptor.
 func (w *Writer[R]) Finish() (*Run, error) {
@@ -226,8 +239,7 @@ func (w *Writer[R]) Finish() (*Run, error) {
 	}
 	w.finished = true
 	if len(w.cur) > 0 {
-		w.pending = append(w.pending, w.cur)
-		w.cur = nil
+		w.cutBlock()
 	}
 	if err := w.drain(true); err != nil {
 		return nil, err
@@ -269,7 +281,7 @@ func (w *Writer[R]) forecastFor(i int) []record.Key {
 	// Every block past the first forecasts exactly one key. Carve those
 	// out of an arena chunk instead of allocating one-element slices: each
 	// forecast is a capacity-1 sub-slice written once here and then handed
-	// off (WriteBlocks copies it into the store), so slices never alias.
+	// to the store with its block, so slices never alias.
 	if len(w.fcArena) == 0 {
 		w.fcArena = make([]record.Key, 512)
 	}

@@ -65,16 +65,7 @@ type asyncMerger[R record.KernelRecord] struct {
 // written behind the merge (write-behind M_W). Output and statistics are
 // identical to Merge's.
 func MergeAsync[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int) (*runio.Run, MergeStats, error) {
-	return MergeAsyncCores[R](sys, runs, r, outID, outStartDisk, 1)
-}
-
-// MergeAsyncCores is MergeAsync with internal merging spread across up to
-// cores goroutines (the sharded super-span consumer of pconsume.go); it
-// composes the two overlaps — I/O behind merging, merging across cores —
-// and output and statistics remain identical to Merge's for every core
-// count.
-func MergeAsyncCores[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk, cores int) (*runio.Run, MergeStats, error) {
-	base, err := newMerger(sys, runs, r, runio.NewWriterAsync[R](sys, outID, outStartDisk), nil, cores)
+	base, err := newMerger(sys, runs, r, runio.NewWriterAsync[R](sys, outID, outStartDisk), nil)
 	if err != nil {
 		return nil, MergeStats{}, err
 	}
@@ -235,8 +226,7 @@ func (m *asyncMerger[R]) pumpIOOverlapped() (int, error) {
 // the Exchange is deferred until after the landing, keeping |F_t| and the
 // stall set exactly as the sync schedule sees them), or when a stalled
 // run's awaited key does not strictly exceed the active minimum, or when
-// M_L is empty. Like the sync consumer it gallops: each winner emits its
-// whole admissible span in one AppendBlock call.
+// M_L is empty. It shares the sync consumer's emission loop (consume).
 //
 // The stall guard here is deliberately stricter than the sync consumer's
 // (<= instead of <, and the gallop's stall bound is correspondingly
@@ -248,45 +238,12 @@ func (m *asyncMerger[R]) pumpIOOverlapped() (int, error) {
 // consumed by consumeUntilBlockEvent at exactly the state the sync
 // consumer sees.
 func (m *asyncMerger[R]) consumeOverlapped() (int, error) {
-	if m.cores > 1 && !m.varlen {
-		consumed, dRun, err := m.consumeSuperSpan(false)
-		if err != nil {
-			return consumed, err
-		}
-		if dRun >= 0 {
-			// Note the depletion; the Exchange stays deferred until the
-			// in-flight read lands, exactly as in the serial loop below.
-			m.pendingRun = dRun
-		}
-		return consumed, nil
-	}
-	consumed := 0
-	for m.active.Len() > 0 {
-		h, hKey := m.active.Min()
-		haveStall := m.stallHeap.Len() > 0
-		var sKey uint64
-		if haveStall {
-			if _, sKey = m.stallHeap.Min(); sKey <= hKey {
-				return consumed, nil
-			}
-		}
-		span := m.gallopSpan(h, haveStall, sKey, false)
-		if err := m.out.AppendBlock(m.lead[h][:span]); err != nil {
-			return consumed, err
-		}
-		consumed += span
-		m.lead[h] = m.lead[h][span:]
-		if len(m.lead[h]) > 0 {
-			m.updateHead(h)
-			continue
-		}
-		// Depletion: release the M_L slot and note the block event, but do
-		// not process the Exchange — scheduler-visible state must not
-		// change while the read is in flight.
-		m.mem.LeadingReleased()
-		m.active.Remove(h)
+	consumed, h, err := m.consume(false)
+	if h >= 0 {
+		// Note the depletion, but do not process the Exchange —
+		// scheduler-visible state must not change while the read is in
+		// flight.
 		m.pendingRun = h
-		return consumed, nil
 	}
-	return consumed, nil
+	return consumed, err
 }

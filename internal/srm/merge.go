@@ -82,12 +82,6 @@ type merger[R record.KernelRecord] struct {
 	flushed map[[2]int]bool // blocks that were flushed at least once
 	stats   MergeStats
 
-	// cores > 1 consumes through the sharded super-span kernel
-	// (pconsume.go); 1 is the serial per-winner gallop loop. Tracing
-	// reports per-winner events, so a sink forces the serial consumer.
-	cores   int
-	scratch []R // super-span merge-back buffer, reused
-
 	// varlen is set when the leading blocks carry variable-length records
 	// (Ext != ""). Prefix words then only coarsen the true key order, so
 	// the consumer compares (Key, Val) pairs, breaks prefix ties through
@@ -166,30 +160,16 @@ func (m *merger[R]) updateHead(h int) {
 // and must match the representation of the runs' stored blocks (callers
 // instantiate explicitly — nothing in the argument list names R).
 func Merge[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int) (*runio.Run, MergeStats, error) {
-	return MergeCores[R](sys, runs, r, outID, outStartDisk, 1)
-}
-
-// MergeCores is Merge with internal merging spread across up to cores
-// goroutines: each inter-block-event emission is computed as one sharded
-// super-span (pconsume.go) instead of a per-winner loop. The I/O
-// schedule, statistics and output run are byte-identical for every core
-// count; cores <= 1 is exactly the serial path.
-func MergeCores[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk, cores int) (*runio.Run, MergeStats, error) {
-	return mergeTraced[R](sys, runs, r, outID, outStartDisk, nil, cores)
+	return MergeTraced[R](sys, runs, r, outID, outStartDisk, nil)
 }
 
 // MergeTraced is Merge with a trace sink attached: every parallel read,
 // virtual flush, depletion, stall and promotion is reported as a
 // trace.Event, in schedule order. Pass a trace.Checker to verify the
 // paper's scheduling invariants online, or a trace.Recorder to render the
-// schedule. Tracing narrates the per-winner consumer, so it always runs
-// serial.
+// schedule. A nil sink is plain Merge.
 func MergeTraced[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int, sink trace.Sink) (*runio.Run, MergeStats, error) {
-	return mergeTraced[R](sys, runs, r, outID, outStartDisk, sink, 1)
-}
-
-func mergeTraced[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int, sink trace.Sink, cores int) (*runio.Run, MergeStats, error) {
-	m, err := newMerger(sys, runs, r, runio.NewWriter[R](sys, outID, outStartDisk), sink, cores)
+	m, err := newMerger(sys, runs, r, runio.NewWriter[R](sys, outID, outStartDisk), sink)
 	if err != nil {
 		return nil, MergeStats{}, err
 	}
@@ -219,7 +199,7 @@ func mergeTraced[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r,
 
 // newMerger validates the merge inputs and assembles the shared state of
 // the sync and async merge loops.
-func newMerger[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, out *runio.Writer[R], sink trace.Sink, cores int) (*merger[R], error) {
+func newMerger[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, out *runio.Writer[R], sink trace.Sink) (*merger[R], error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("srm: merge of zero runs")
 	}
@@ -246,7 +226,6 @@ func newMerger[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r in
 		active:    ltree.NewRetired(len(runs)),
 		stallHeap: iheap.New(len(runs)),
 		flushed:   make(map[[2]int]bool),
-		cores:     cores,
 		sink:      sink,
 	}, nil
 }
@@ -523,66 +502,93 @@ func (m *merger[R]) forceRoom() bool {
 	return true
 }
 
+// gallopAfter is the streak length that switches the fixed-size consumer
+// from per-record emission to galloping: once the same run has won this
+// many records in a row, its remaining admissible span is located by
+// binary search and emitted in one AppendBlock. Short streaks (random
+// keys, where the winner changes every few records) never pay for the
+// search; long ones (presorted, reversed, duplicate-heavy inputs) stop
+// paying a tree replay per record. TimSort's MIN_GALLOP plays the same
+// role.
+const gallopAfter = 8
+
 // consumeUntilBlockEvent runs the internal merge until one leading block is
 // depleted (a block event: memory occupancy, and hence read feasibility,
 // changes only then), or until the next record of the merge belongs to a
 // stalled run — internal merge processing then "has to wait" (Section 5)
 // for a ParRead to deliver that run's leading block. It returns the number
 // of records written.
-//
-// Emission gallops: when run h wins, the span of its leading block that h
-// would emit one record at a time — bounded by the runner-up's key and the
-// stall-heap minimum, both constant while h keeps winning — is located by
-// binary search and written with one AppendBlock call and one loser-tree
-// update, instead of a tree round-trip per record.
 func (m *merger[R]) consumeUntilBlockEvent() (int, error) {
-	if m.cores > 1 && m.sink == nil && !m.varlen {
-		consumed, dRun, err := m.consumeSuperSpan(true)
-		if err != nil {
-			return consumed, err
-		}
-		if dRun >= 0 {
-			m.blockEvent(dRun)
-		}
-		return consumed, nil
+	consumed, h, err := m.consume(true)
+	if err == nil && h >= 0 {
+		m.blockEvent(h)
 	}
-	consumed := 0
+	return consumed, err
+}
+
+// consume is the emission loop of both merge modes. It writes records in
+// the (key, run index) order of the active loser tree until a leading
+// block depletes — releasing its M_L slot, retiring the run and returning
+// its handle, but leaving the Exchange to the caller — or until the stall
+// guard makes the merge wait for I/O (-1).
+//
+// The stall guard compares the active minimum with the smallest awaited
+// key sKey, which cannot change during the call (only block events, which
+// end it, touch the stall set). stallInclusive admits a fixed-size record
+// whose key equals sKey (the sync consumer, which waits only on sKey <
+// hKey); the overlapped consumer passes false and stops on equality too.
+// Variable-length prefix words only coarsen the true order, so a varlen
+// prefix tie always waits: the awaited record could truly precede it.
+//
+// Fixed-size records are emitted one loser-tree step at a time, each
+// straight into the writer's current block, until one run has won
+// gallopAfter records in a row; that run then gallops through its
+// admissible span (gallopSpan). Variable-length records always gallop.
+// Either way the emitted sequence is exactly the per-record order, so
+// the switch never changes output, schedule or statistics.
+func (m *merger[R]) consume(stallInclusive bool) (consumed, depleted int, err error) {
+	haveStall := m.stallHeap.Len() > 0
+	var sKey uint64
+	if haveStall {
+		_, sKey = m.stallHeap.Min()
+	}
+	stallInclusive = stallInclusive && !m.varlen
+	streakRun, streak := -1, 0
 	for m.active.Len() > 0 {
 		h, hKey := m.active.Min()
-		haveStall := m.stallHeap.Len() > 0
-		var sKey uint64
-		if haveStall {
-			// Fixed-size records wait only on a strictly smaller stall key;
-			// a varlen prefix tie also waits, because the awaited on-disk
-			// record could truly precede the active minimum.
-			if _, sKey = m.stallHeap.Min(); sKey < hKey || (m.varlen && sKey == hKey) {
-				// The globally next record is on disk in a stalled run's
-				// awaited block; the merge must wait for I/O.
-				return consumed, nil
-			}
+		if haveStall && (sKey < hKey || (sKey == hKey && !stallInclusive)) {
+			// The globally next record is on disk in a stalled run's
+			// awaited block; the merge must wait for I/O.
+			return consumed, -1, nil
 		}
-		// The sync stall guard admits h while hKey <= sKey, so the stall
-		// bound is inclusive (varlen guards are strict; gallopSpan switches
-		// to exclusive bounds itself).
-		span := m.gallopSpan(h, haveStall, sKey, true)
-		if err := m.out.AppendBlock(m.lead[h][:span]); err != nil {
-			return consumed, err
+		if h != streakRun {
+			streakRun, streak = h, 0
 		}
-		consumed += span
-		lastKey := m.lead[h][span-1].K()
-		m.lead[h] = m.lead[h][span:]
-		if len(m.lead[h]) > 0 {
+		streak++
+		b := m.lead[h]
+		n := 1
+		if m.varlen || streak > gallopAfter {
+			n = m.gallopSpan(h, haveStall, sKey, stallInclusive)
+			err = m.out.AppendBlock(b[:n])
+		} else {
+			err = m.out.Put(b[0], record.Key(hKey))
+		}
+		if err != nil {
+			return consumed, -1, err
+		}
+		consumed += n
+		m.lead[h] = b[n:]
+		if n < len(b) {
 			m.updateHead(h)
 			continue
 		}
 		// Block event: the leading block of run h is depleted.
 		m.mem.LeadingReleased()
 		m.active.Remove(h)
-		m.emit(trace.EventDeplete, 0, m.ref(h, m.leadIdx[h], lastKey))
-		m.blockEvent(h)
-		return consumed, nil
+		m.emit(trace.EventDeplete, 0, m.ref(h, m.leadIdx[h], b[n-1].K()))
+		return consumed, h, nil
 	}
-	return consumed, nil
+	return consumed, -1, nil
 }
 
 // gallopSpan returns how many leading records of run h (the current

@@ -23,7 +23,7 @@ import (
 // work starts, so the result (final run contents, per-merge statistics,
 // total operation counts) is identical to the serial SortRuns run for run.
 func SortRunsParallel[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, placement runio.Placement, seqStart, workers int) (*runio.Run, SortStats, int, error) {
-	return sortRunsParallel[R](sys, runs, r, placement, seqStart, workers, false, 1, nil)
+	return sortRunsParallel[R](sys, runs, r, placement, seqStart, workers, false, nil)
 }
 
 // SortRunsParallelAsync is SortRunsParallel with every merge performed by
@@ -31,10 +31,10 @@ func SortRunsParallel[R record.KernelRecord](sys *pdisk.System, runs []*runio.Ru
 // own I/O with merging. Results are identical to the serial, synchronous
 // SortRuns.
 func SortRunsParallelAsync[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, placement runio.Placement, seqStart, workers int) (*runio.Run, SortStats, int, error) {
-	return sortRunsParallel[R](sys, runs, r, placement, seqStart, workers, true, 1, nil)
+	return sortRunsParallel[R](sys, runs, r, placement, seqStart, workers, true, nil)
 }
 
-func sortRunsParallel[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, placement runio.Placement, seqStart, workers int, async bool, cores int, afterPass PassFunc) (*runio.Run, SortStats, int, error) {
+func sortRunsParallel[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, placement runio.Placement, seqStart, workers int, async bool, afterPass PassFunc) (*runio.Run, SortStats, int, error) {
 	if r < 2 {
 		return nil, SortStats{}, seqStart, fmt.Errorf("srm: merge order R=%d, need >= 2", r)
 	}
@@ -85,7 +85,7 @@ func sortRunsParallel[R record.KernelRecord](sys *pdisk.System, runs []*runio.Ru
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				j.out, j.ms, j.err = mergeFn[R](async, cores)(sys, j.group, r, j.seq, j.start)
+				j.out, j.ms, j.err = mergeFn[R](async)(sys, j.group, r, j.seq, j.start)
 				if j.err != nil {
 					return
 				}

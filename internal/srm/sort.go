@@ -28,15 +28,12 @@ type SortStats struct {
 }
 
 // mergeFn selects the merge procedure of one sort: the synchronous
-// schedule or its overlapped equivalent, with internal merging spread
-// over the given number of cores.
-func mergeFn[R record.KernelRecord](async bool, cores int) func(*pdisk.System, []*runio.Run, int, int, int) (*runio.Run, MergeStats, error) {
-	return func(sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int) (*runio.Run, MergeStats, error) {
-		if async {
-			return MergeAsyncCores[R](sys, runs, r, outID, outStartDisk, cores)
-		}
-		return MergeCores[R](sys, runs, r, outID, outStartDisk, cores)
+// schedule or its overlapped equivalent.
+func mergeFn[R record.KernelRecord](async bool) func(*pdisk.System, []*runio.Run, int, int, int) (*runio.Run, MergeStats, error) {
+	if async {
+		return MergeAsync[R]
 	}
+	return Merge[R]
 }
 
 func (s *SortStats) add(ms MergeStats) {
@@ -65,11 +62,6 @@ type SortOpts struct {
 	// Workers > 1 (or < 0 for GOMAXPROCS) executes the independent
 	// merges of each pass concurrently; 0 or 1 runs serially.
 	Workers int
-	// Cores > 1 spreads each merge's internal record comparison work
-	// over up to that many goroutines (the sharded super-span kernel);
-	// 0 or 1 runs the serial consumer. Output and statistics are
-	// identical either way, and Cores composes with Async and Workers.
-	Cores int
 	// AfterPass, when non-nil, is the checkpoint hook described at
 	// PassFunc.
 	AfterPass PassFunc
@@ -97,7 +89,7 @@ func SortRunsAsync[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, 
 // by opts. All modes produce identical runs and statistics.
 func SortRunsOpts[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, placement runio.Placement, seqStart int, opts SortOpts) (*runio.Run, SortStats, int, error) {
 	if opts.Workers > 1 || opts.Workers < 0 {
-		return sortRunsParallel[R](sys, runs, r, placement, seqStart, opts.Workers, opts.Async, opts.Cores, opts.AfterPass)
+		return sortRunsParallel[R](sys, runs, r, placement, seqStart, opts.Workers, opts.Async, opts.AfterPass)
 	}
 	return sortRuns[R](sys, runs, r, placement, seqStart, opts)
 }
@@ -127,7 +119,7 @@ func sortRuns[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int
 				next = append(next, group[0])
 				continue
 			}
-			merged, ms, err := mergeFn[R](opts.Async, opts.Cores)(sys, group, r, seq, placement.StartDisk(seq))
+			merged, ms, err := mergeFn[R](opts.Async)(sys, group, r, seq, placement.StartDisk(seq))
 			if err != nil {
 				return nil, stats, seq, err
 			}

@@ -198,14 +198,15 @@ type Config struct {
 	// result and all I/O statistics are identical either way — only the
 	// host wall-clock changes. SRM variants only.
 	Workers int
-	// Cores bounds the goroutines each single sort step spreads its
-	// record comparison work over: run-formation loads are sorted in
-	// per-core chunks and merged back, and each SRM merge consumes
-	// through a sharded super-span kernel. 0 (the default) or a negative
-	// value means GOMAXPROCS; 1 is the serial path. Output and every I/O
-	// statistic are byte-identical for every value (a property the test
-	// suite enforces); only host wall-clock changes. Cores composes with
-	// Async and Workers. SRM variants and DSM; PSV always runs serially.
+	// Cores bounds the goroutines run formation spreads its sorting
+	// over: each memory load (SRM and DSM alike) is sorted in per-core
+	// chunks and merged back. The SRM merge passes are always serial —
+	// one loser-tree step per record; run several merges at once with
+	// Workers instead. 0 (the default) or a negative value means
+	// GOMAXPROCS; 1 is the serial path. Output and every I/O statistic
+	// are byte-identical for every value (a property the test suite
+	// enforces); only host wall-clock changes. Cores composes with Async
+	// and Workers. PSV always runs serially.
 	Cores int
 	// Async overlaps I/O with computation: parallel reads are issued
 	// asynchronously and merged records are consumed while blocks are in
@@ -800,7 +801,7 @@ func sortSRM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 	}
 	tr.formed(len(formed.Runs), len(formed.Runs), r, 0)
 
-	opts := srm.SortOpts{Async: cfg.Async, Workers: cfg.Workers, Cores: cfg.cores()}
+	opts := srm.SortOpts{Async: cfg.Async, Workers: cfg.Workers}
 	var cpHook, trHook srm.PassFunc
 	if cp != nil {
 		// Pass 0 is run formation: checkpoint the freshly formed runs so

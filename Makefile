@@ -42,9 +42,12 @@ aliascheck:
 # (seeded Pareto latency under deadlines/hedging), the stuck-op wing
 # (a 250 ms read hang bounded by the deadline layer) and the server
 # drain-interrupted-kill cells. Raced, and under a hard deadline so a
-# hung resume loop fails fast instead of wedging CI.
+# hung resume loop fails fast instead of wedging CI. The determinism
+# cell then repeats ten times at GOMAXPROCS=4, so a fault schedule that
+# depends on goroutine interleaving fails here instead of flaking.
 chaos:
 	go test -race -count=1 -timeout 10m ./internal/chaos/
+	GOMAXPROCS=4 go test -count=10 -run TestChaosDeterministic ./internal/chaos/
 
 # The sortd server load tests: dozens of concurrent jobs over the HTTP
 # API with seeded store faults, the server kill/restart matrix

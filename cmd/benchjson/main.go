@@ -11,7 +11,9 @@
 //
 // Every `value unit` pair after the iteration count is kept verbatim under
 // its unit name ("ns/op", "B/op", "allocs/op", "ns/rec", ...), so custom
-// b.ReportMetric units flow through unchanged.
+// b.ReportMetric units flow through unchanged. Names drop the "-N"
+// GOMAXPROCS suffix `go test` appends when N > 1, so a baseline recorded
+// on one host diffs cell by cell against a run on another.
 //
 // With -diff, the input (fresh run, text or JSON) is compared per cell
 // against the given baseline JSON: ns/rec and B/rec deltas for every
@@ -215,7 +217,7 @@ func parse(r io.Reader) ([]result, error) {
 			return nil, fmt.Errorf("iteration count in %q: %v", line, err)
 		}
 		res := result{
-			Name:       fields[0],
+			Name:       trimProcs(fields[0]),
 			Iterations: iters,
 			Metrics:    make(map[string]float64),
 		}
@@ -235,6 +237,18 @@ func parse(r io.Reader) ([]result, error) {
 		return nil, fmt.Errorf("no benchmark lines found")
 	}
 	return results, nil
+}
+
+// trimProcs drops the "-N" GOMAXPROCS suffix from a benchmark name.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	if _, err := strconv.Atoi(name[i+1:]); err != nil {
+		return name
+	}
+	return name[:i]
 }
 
 func fatal(err error) {

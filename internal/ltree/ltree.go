@@ -27,11 +27,11 @@
 //
 // Ties are broken by player index, matching the iheap-based mergers, so
 // the two engines produce byte-identical merge output. The KV entry
-// points (PushKV, UpdateKV, ChallengerKV) interpose a secondary value
-// between the key and the index — (key, val, index) — which is how the
-// parallel sort's merge-back reproduces SortRecords' (key, val) order
-// exactly; the plain entry points pin the value to zero, so trees that
-// never call a KV method behave exactly as before.
+// points (PushKV, UpdateKV, UpdateMinKV, ChallengerKV) interpose a
+// secondary value between the key and the index — (key, val, index) —
+// which is how the parallel sort's merge-back reproduces SortRecords'
+// (key, val) order exactly; the plain entry points pin the value to zero,
+// so trees that never call a KV method behave exactly as before.
 package ltree
 
 import "fmt"
@@ -40,37 +40,45 @@ import "fmt"
 // "retired". Key reports it for retired players.
 const Infinite = ^uint64(0)
 
+// node is one slot of the tournament: a player together with everything
+// a match reads about it. Internal node i (1 <= i < n) holds the loser of
+// the match played there and node 0 the overall winner, so every player
+// occupies exactly one node and the nodes are the tree's only per-player
+// state. A match compares two contiguous nodes instead of chasing player
+// indices into parallel key, value and aliveness arrays.
+type node struct {
+	key     uint64
+	val     uint64 // secondary tie value; zero unless set via a KV method
+	player  int32
+	retired bool // explicit aliveness: retired players lose every match
+}
+
 // Tree is a loser tree over players 0..n-1. Construct with New.
 type Tree struct {
 	n       int
-	keys    []uint64 // current key of each player
-	vals    []uint64 // secondary tie value; zero unless set via a KV method
-	retired []bool   // explicit aliveness: retired players lose every match
-	losers  []int    // internal nodes: player index of the match loser; losers[0] is the winner
+	nodes   []node // nodes[0] is the winner, nodes[1..n-1] the match losers
 	alive   int
-	scratch []int // rebuild's winner array, allocated once with the tree
+	scratch []node // rebuild's leaves (n..2n-1) and match winners (1..n-1), allocated once
 	tie     func(a, b int) int
+}
+
+// newTree allocates a tree over n players whose leaves the caller fills
+// before the first rebuild.
+func newTree(n int) *Tree {
+	if n == 0 {
+		panic("ltree: no players")
+	}
+	return &Tree{n: n, nodes: make([]node, n), scratch: make([]node, 2*n)}
 }
 
 // New builds a tree over the given initial keys (one per player). Players
 // whose runs are empty can be passed Infinite and count as retired.
 func New(keys []uint64) *Tree {
-	n := len(keys)
-	if n == 0 {
-		panic("ltree: no players")
-	}
-	t := &Tree{
-		n:       n,
-		keys:    append([]uint64(nil), keys...),
-		vals:    make([]uint64, n),
-		retired: make([]bool, n),
-		losers:  make([]int, n),
-		scratch: make([]int, 2*n),
-	}
+	t := newTree(len(keys))
+	leaves := t.scratch[t.n:]
 	for p, k := range keys {
-		if k == Infinite {
-			t.retired[p] = true
-		} else {
+		leaves[p] = node{key: k, player: int32(p), retired: k == Infinite}
+		if k != Infinite {
 			t.alive++
 		}
 	}
@@ -82,48 +90,40 @@ func New(keys []uint64) *Tree {
 // state of a merge that activates runs with Push as their leading blocks
 // arrive.
 func NewRetired(n int) *Tree {
-	if n == 0 {
-		panic("ltree: no players")
-	}
-	t := &Tree{
-		n:       n,
-		keys:    make([]uint64, n),
-		vals:    make([]uint64, n),
-		retired: make([]bool, n),
-		losers:  make([]int, n),
-		scratch: make([]int, 2*n),
-	}
-	for p := range t.retired {
-		t.retired[p] = true
+	t := newTree(n)
+	leaves := t.scratch[t.n:]
+	for p := range leaves {
+		leaves[p] = node{player: int32(p), retired: true}
 	}
 	t.rebuild()
 	return t
 }
 
-// rebuild recomputes the whole tournament in O(n).
+// leaves copies every player's node into its leaf slot of the rebuild
+// scratch and returns the leaves, indexed by player, for the caller to
+// modify before rebuild.
+func (t *Tree) leaves() []node {
+	leaves := t.scratch[t.n:]
+	for _, nd := range t.nodes {
+		leaves[nd.player] = nd
+	}
+	return leaves
+}
+
+// rebuild recomputes the whole tournament in O(n) from the leaves in
+// scratch[n:2n].
 func (t *Tree) rebuild() {
 	// Play the tournament bottom-up: winner[i] for internal node i of a
 	// complete binary tree with n leaves (players) at positions n..2n-1.
 	winner := t.scratch
-	for i := 0; i < t.n; i++ {
-		winner[t.n+i] = i
-	}
 	for i := t.n - 1; i >= 1; i-- {
 		a, b := winner[2*i], winner[2*i+1]
-		w, l := t.play(a, b)
-		winner[i] = w
-		t.losers[i] = l
+		if !t.beats(a, b) {
+			a, b = b, a
+		}
+		winner[i], t.nodes[i] = a, b
 	}
-	t.losers[0] = winner[1]
-}
-
-// play returns the (winner, loser) of a match under the total order of
-// beats.
-func (t *Tree) play(a, b int) (w, l int) {
-	if t.beats(a, b) {
-		return a, b
-	}
-	return b, a
+	t.nodes[0] = winner[1]
 }
 
 // SetTie installs a tie-break comparator consulted only when two LIVE
@@ -140,31 +140,31 @@ func (t *Tree) play(a, b int) (w, l int) {
 // records must be current before any Push/Update that triggers one.
 func (t *Tree) SetTie(tie func(a, b int) int) { t.tie = tie }
 
-// beats reports whether player a wins a match against player b: retired
-// players lose to live ones, live players compare by (key, val, index) —
-// the smaller key wins, key ties go to the smaller val, full ties to the
-// lower index — and retired pairs order by index (irrelevant, but total).
-// Players never touched by a KV method all hold val zero, so for them
-// the order collapses to the classical (key, index). A SetTie comparator,
-// when installed, interposes between the val and index tie-breaks.
-func (t *Tree) beats(a, b int) bool {
-	if t.retired[a] != t.retired[b] {
-		return !t.retired[a]
+// beats reports whether a wins a match against b: retired players lose
+// to live ones, live players compare by (key, val, index) — the smaller
+// key wins, key ties go to the smaller val, full ties to the lower index
+// — and retired pairs order by index (irrelevant, but total). Players
+// never touched by a KV method all hold val zero, so for them the order
+// collapses to the classical (key, index). A SetTie comparator, when
+// installed, interposes between the val and index tie-breaks.
+func (t *Tree) beats(a, b node) bool {
+	if a.retired != b.retired {
+		return !a.retired
 	}
-	if !t.retired[a] {
-		if t.keys[a] != t.keys[b] {
-			return t.keys[a] < t.keys[b]
+	if !a.retired {
+		if a.key != b.key {
+			return a.key < b.key
 		}
-		if t.vals[a] != t.vals[b] {
-			return t.vals[a] < t.vals[b]
+		if a.val != b.val {
+			return a.val < b.val
 		}
 		if t.tie != nil {
-			if c := t.tie(a, b); c != 0 {
+			if c := t.tie(int(a.player), int(b.player)); c != 0 {
 				return c < 0
 			}
 		}
 	}
-	return a < b
+	return a.player < b.player
 }
 
 // Len returns the number of live players.
@@ -176,8 +176,7 @@ func (t *Tree) Min() (player int, key uint64) {
 	if t.alive == 0 {
 		panic("ltree: Min of empty tree")
 	}
-	w := t.losers[0]
-	return w, t.keys[w]
+	return int(t.nodes[0].player), t.nodes[0].key
 }
 
 // Challenger returns the runner-up: the player that would win if the
@@ -186,31 +185,40 @@ func (t *Tree) Min() (player int, key uint64) {
 // winner, so it is the best of the losers stored on the winner's
 // leaf-to-root path — an O(log R) scan with no mutation.
 func (t *Tree) Challenger() (player int, key uint64, ok bool) {
-	if t.alive < 2 {
+	best := t.challenger()
+	if best == nil {
 		return -1, Infinite, false
 	}
-	w := t.losers[0]
-	best := -1
-	for node := (t.n + w) / 2; node >= 1; node /= 2 {
-		l := t.losers[node]
-		if t.retired[l] {
-			continue
-		}
-		if best < 0 || t.beats(l, best) {
-			best = l
-		}
-	}
-	return best, t.keys[best], true
+	return int(best.player), best.key, true
 }
 
 // ChallengerKV is Challenger extended with the runner-up's secondary tie
 // value, for merges galloping under the (key, val, index) order.
 func (t *Tree) ChallengerKV() (player int, key, val uint64, ok bool) {
-	p, k, ok := t.Challenger()
-	if !ok {
-		return p, k, 0, false
+	best := t.challenger()
+	if best == nil {
+		return -1, Infinite, 0, false
 	}
-	return p, k, t.vals[p], true
+	return int(best.player), best.key, best.val, true
+}
+
+// challenger returns the runner-up's node, nil when fewer than two
+// players are live.
+func (t *Tree) challenger() *node {
+	if t.alive < 2 {
+		return nil
+	}
+	var best *node
+	for i := (t.n + int(t.nodes[0].player)) / 2; i >= 1; i /= 2 {
+		l := &t.nodes[i]
+		if l.retired {
+			continue
+		}
+		if best == nil || t.beats(*l, *best) {
+			best = l
+		}
+	}
+	return best
 }
 
 // ReplaceMin gives the current winner a new key (the next record of its
@@ -221,14 +229,31 @@ func (t *Tree) ReplaceMin(key uint64) {
 	if t.alive == 0 {
 		panic("ltree: ReplaceMin of empty tree")
 	}
-	w := t.losers[0]
+	w := &t.nodes[0]
 	if key == Infinite {
-		t.retired[w] = true
+		w.retired = true
 		t.alive--
 	}
-	t.keys[w] = key
-	t.vals[w] = 0
-	t.replay(w)
+	w.key = key
+	w.val = 0
+	t.replay()
+}
+
+// UpdateMin re-keys the current winner, taking key at face value
+// (Infinite is a legal key here) and resetting its secondary tie value to
+// zero, then replays its path in O(log R). It is Update specialised to
+// the winner for the merge kernels' per-record step, and checks nothing:
+// the caller guarantees a live winner (Len() > 0).
+func (t *Tree) UpdateMin(key uint64) {
+	t.UpdateMinKV(key, 0)
+}
+
+// UpdateMinKV is UpdateMin with an explicit secondary tie value.
+func (t *Tree) UpdateMinKV(key, val uint64) {
+	w := &t.nodes[0]
+	w.key = key
+	w.val = val
+	t.replay()
 }
 
 // DeleteMin retires the current winner (its run is exhausted).
@@ -236,17 +261,16 @@ func (t *Tree) DeleteMin() {
 	if t.alive == 0 {
 		panic("ltree: DeleteMin of empty tree")
 	}
-	w := t.losers[0]
-	t.retired[w] = true
+	t.nodes[0].retired = true
 	t.alive--
-	t.replay(w)
+	t.replay()
 }
 
 // Update gives a live player a new key, taken at face value (Infinite is a
 // legal key here), and resets its secondary tie value to zero. Updating
-// the current winner is the per-span hot path and costs one O(log R)
-// replay; any other player costs an O(n) rebuild — merge kernels only do
-// that at block events.
+// the current winner costs one O(log R) replay (UpdateMin is the
+// unchecked form of that case); any other player costs an O(n) rebuild —
+// merge kernels only do that at block events.
 func (t *Tree) Update(player int, key uint64) {
 	t.UpdateKV(player, key, 0)
 }
@@ -257,16 +281,20 @@ func (t *Tree) Update(player int, key uint64) {
 // SortRecords does.
 func (t *Tree) UpdateKV(player int, key, val uint64) {
 	t.check(player)
-	if t.retired[player] {
+	if w := &t.nodes[0]; int(w.player) == player {
+		if w.retired {
+			panic(fmt.Sprintf("ltree: Update of retired player %d", player))
+		}
+		w.key, w.val = key, val
+		t.replay()
+		return
+	}
+	leaves := t.leaves()
+	if leaves[player].retired {
 		panic(fmt.Sprintf("ltree: Update of retired player %d", player))
 	}
-	t.keys[player] = key
-	t.vals[player] = val
-	if player == t.losers[0] {
-		t.replay(player)
-	} else {
-		t.rebuild()
-	}
+	leaves[player].key, leaves[player].val = key, val
+	t.rebuild()
 }
 
 // Push activates a retired player with the given key (taken at face
@@ -280,12 +308,11 @@ func (t *Tree) Push(player int, key uint64) {
 // PushKV is Push with an explicit secondary tie value.
 func (t *Tree) PushKV(player int, key, val uint64) {
 	t.check(player)
-	if !t.retired[player] {
+	leaves := t.leaves()
+	if !leaves[player].retired {
 		panic(fmt.Sprintf("ltree: Push of live player %d", player))
 	}
-	t.retired[player] = false
-	t.keys[player] = key
-	t.vals[player] = val
+	leaves[player] = node{key: key, val: val, player: int32(player)}
 	t.alive++
 	t.rebuild()
 }
@@ -294,25 +321,34 @@ func (t *Tree) PushKV(player int, key, val uint64) {
 // O(log R) DeleteMin; any other player costs an O(n) rebuild.
 func (t *Tree) Remove(player int) {
 	t.check(player)
-	if t.retired[player] {
+	if w := &t.nodes[0]; int(w.player) == player {
+		if w.retired {
+			panic(fmt.Sprintf("ltree: Remove of retired player %d", player))
+		}
+		w.retired = true
+		t.alive--
+		t.replay()
+		return
+	}
+	leaves := t.leaves()
+	if leaves[player].retired {
 		panic(fmt.Sprintf("ltree: Remove of retired player %d", player))
 	}
-	t.retired[player] = true
+	leaves[player].retired = true
 	t.alive--
-	if player == t.losers[0] {
-		t.replay(player)
-	} else {
-		t.rebuild()
-	}
+	t.rebuild()
 }
 
-// Key returns the current key of a player (Infinite if retired).
+// Key returns the current key of a player (Infinite if retired). It scans
+// the nodes for the player, O(n): a diagnostic, not a kernel operation.
 func (t *Tree) Key(player int) uint64 {
 	t.check(player)
-	if t.retired[player] {
-		return Infinite
+	for _, nd := range t.nodes {
+		if int(nd.player) == player && !nd.retired {
+			return nd.key
+		}
 	}
-	return t.keys[player]
+	return Infinite
 }
 
 // check panics on an out-of-range player index.
@@ -322,17 +358,29 @@ func (t *Tree) check(player int) {
 	}
 }
 
-// replay re-runs the matches on player p's leaf-to-root path. It is
-// correct only when p was the winner of every match on that path (i.e. p
-// is the tournament winner): then the losers stored along the path are
-// exactly the sibling subtree winners, so replaying against them is a
-// valid tournament. Arbitrary-player changes go through rebuild instead.
-func (t *Tree) replay(p int) {
-	winner := p
-	for node := (t.n + p) / 2; node >= 1; node /= 2 {
-		w, l := t.play(winner, t.losers[node])
-		t.losers[node] = l
-		winner = w
+// replay re-runs the matches on the winner's leaf-to-root path after
+// node 0 changed. It is correct only for the tournament winner: the
+// losers stored along its path are exactly the sibling subtree winners,
+// so replaying against them is a valid tournament. Arbitrary-player
+// changes go through rebuild instead. The candidate travels up the path
+// by value; a node it loses to swaps places with it. The common match —
+// two live players with distinct keys — is decided inline; everything
+// else goes through beats.
+func (t *Tree) replay() {
+	nodes := t.nodes
+	cur := nodes[0]
+	for i := (uint(t.n) + uint(cur.player)) / 2; i >= 1; i /= 2 {
+		other := nodes[i]
+		var loses bool
+		if cur.key != other.key && !cur.retired && !other.retired {
+			loses = other.key < cur.key
+		} else {
+			loses = !t.beats(cur, other)
+		}
+		if loses {
+			cur, other = other, cur
+		}
+		nodes[i] = other
 	}
-	t.losers[0] = winner
+	nodes[0] = cur
 }

@@ -53,33 +53,57 @@ func (b *Block[R]) FirstKey() record.Key { return record.FirstKeyOf(b.Records) }
 // distinct keys (Section 4); the implementation must not.
 func compositeID(run, idx int) int { return run<<32 | idx }
 
+// runOf and idxOf unpack a compositeID.
+func runOf(id int) int { return id >> 32 }
+func idxOf(id int) int { return id & (1<<32 - 1) }
+
 // Manager tracks F_t and the leading-block count for one merge of order R
 // on D disks.
 type Manager[R record.KernelRecord] struct {
-	r, d    int
-	tree    *ostree.Tree
-	byID    map[int]*Block[R]
-	leading int
+	r, d int
+	tree *ostree.Tree
+	// F_t membership is slice-indexed, not hashed: block idx of run h
+	// lives at slots[base[h]+idx], one slot for every block of every run
+	// of the merge, and Has — asked at every block event — is one load.
+	base     []int
+	slots    []*Block[R]
+	occupied int
+	leading  int
 	// MaxOccupied records the high-water mark of |F_t| (for tests and
 	// traces demonstrating the memory bound).
 	MaxOccupied int
 }
 
-// New returns a Manager for merge order r on d disks.
-func New[R record.KernelRecord](r, d int) *Manager[R] {
+// New returns a Manager for merge order r on d disks over runs of the
+// given block counts (blocks[h] is the length of run h).
+func New[R record.KernelRecord](r, d int, blocks []int) *Manager[R] {
 	if r < 1 || d < 1 {
 		panic(fmt.Sprintf("membuf: New(%d, %d)", r, d))
 	}
+	base := make([]int, len(blocks)+1)
+	for h, n := range blocks {
+		base[h+1] = base[h] + n
+	}
 	return &Manager[R]{
-		r:    r,
-		d:    d,
-		tree: ostree.New(int64(r)*31 + int64(d)),
-		byID: make(map[int]*Block[R]),
+		r:     r,
+		d:     d,
+		tree:  ostree.New(int64(r)*31 + int64(d)),
+		base:  base,
+		slots: make([]*Block[R], base[len(blocks)]),
 	}
 }
 
+// slot returns the F_t slot of block (run, idx), panicking on a block
+// outside the merge's runs.
+func (m *Manager[R]) slot(run, idx int) **Block[R] {
+	if run < 0 || run >= len(m.base)-1 || idx < 0 || idx >= m.base[run+1]-m.base[run] {
+		panic(fmt.Sprintf("membuf: block run=%d idx=%d outside the merge", run, idx))
+	}
+	return &m.slots[m.base[run]+idx]
+}
+
 // Occupied returns |F_t|, the number of full non-leading blocks in memory.
-func (m *Manager[R]) Occupied() int { return len(m.byID) }
+func (m *Manager[R]) Occupied() int { return m.occupied }
 
 // Leading returns the number of leading blocks currently held (occupied
 // M_L slots).
@@ -90,12 +114,13 @@ func (m *Manager[R]) Insert(b *Block[R]) {
 	if len(b.Records) == 0 {
 		panic("membuf: Insert of empty block")
 	}
-	id := compositeID(b.Run, b.Idx)
-	if _, dup := m.byID[id]; dup {
+	s := m.slot(b.Run, b.Idx)
+	if *s != nil {
 		panic(fmt.Sprintf("membuf: block run=%d idx=%d inserted twice", b.Run, b.Idx))
 	}
-	m.byID[id] = b
-	m.tree.Insert(ostree.Item{Key: uint64(b.FirstKey()), ID: id})
+	*s = b
+	m.occupied++
+	m.tree.Insert(ostree.Item{Key: uint64(b.FirstKey()), ID: compositeID(b.Run, b.Idx)})
 	if m.Occupied() > m.r+2*m.d {
 		panic(fmt.Sprintf("membuf: |F_t| = %d exceeds R+2D = %d", m.Occupied(), m.r+2*m.d))
 	}
@@ -107,21 +132,21 @@ func (m *Manager[R]) Insert(b *Block[R]) {
 
 // Has reports whether block (run, idx) is in F_t.
 func (m *Manager[R]) Has(run, idx int) bool {
-	_, ok := m.byID[compositeID(run, idx)]
-	return ok
+	return *m.slot(run, idx) != nil
 }
 
 // Take removes block (run, idx) from F_t and returns it — the "exchange
 // between M_R and M_L" of Section 5.1 point 1, when the block becomes its
 // run's leading block. The caller must account for it with LeadingAcquired.
 func (m *Manager[R]) Take(run, idx int) *Block[R] {
-	id := compositeID(run, idx)
-	b, ok := m.byID[id]
-	if !ok {
+	s := m.slot(run, idx)
+	b := *s
+	if b == nil {
 		panic(fmt.Sprintf("membuf: Take of absent block run=%d idx=%d", run, idx))
 	}
-	m.tree.Delete(ostree.Item{Key: uint64(b.FirstKey()), ID: id})
-	delete(m.byID, id)
+	m.tree.Delete(ostree.Item{Key: uint64(b.FirstKey()), ID: compositeID(run, idx)})
+	*s = nil
+	m.occupied--
 	return b
 }
 
@@ -169,9 +194,10 @@ func (m *Manager[R]) FlushVictims(n int) []*Block[R] {
 	out := make([]*Block[R], 0, n)
 	for i := 0; i < n; i++ {
 		it := m.tree.PopMax()
-		b := m.byID[it.ID]
-		delete(m.byID, it.ID)
-		out = append(out, b)
+		s := m.slot(runOf(it.ID), idxOf(it.ID))
+		out = append(out, *s)
+		*s = nil
+		m.occupied--
 	}
 	return out
 }

@@ -15,8 +15,18 @@ func mkBlock(run, idx int, firstKey record.Key) *Block[record.Record] {
 	}
 }
 
+// newTestManager returns a Manager over 10 runs of 32 blocks each, room
+// for every (run, idx) the tests below address.
+func newTestManager(r, d int) *Manager[record.Record] {
+	blocks := make([]int, 10)
+	for i := range blocks {
+		blocks[i] = 32
+	}
+	return New[record.Record](r, d, blocks)
+}
+
 func TestInsertTakeRoundTrip(t *testing.T) {
-	m := New[record.Record](4, 2)
+	m := newTestManager(4, 2)
 	m.Insert(mkBlock(0, 1, 100))
 	m.Insert(mkBlock(1, 2, 50))
 	if m.Occupied() != 2 {
@@ -35,7 +45,7 @@ func TestInsertTakeRoundTrip(t *testing.T) {
 }
 
 func TestCountKeyLess(t *testing.T) {
-	m := New[record.Record](8, 2)
+	m := newTestManager(8, 2)
 	for i, k := range []record.Key{10, 20, 30, 40} {
 		m.Insert(mkBlock(i, 0, k))
 	}
@@ -51,7 +61,7 @@ func TestCountKeyLess(t *testing.T) {
 }
 
 func TestFlushVictimsAreHighestRanked(t *testing.T) {
-	m := New[record.Record](8, 2)
+	m := newTestManager(8, 2)
 	keys := []record.Key{10, 70, 30, 90, 50}
 	for i, k := range keys {
 		m.Insert(mkBlock(i, 0, k))
@@ -78,7 +88,7 @@ func TestFlushVictimsAreHighestRanked(t *testing.T) {
 }
 
 func TestLeadingAccounting(t *testing.T) {
-	m := New[record.Record](2, 1)
+	m := newTestManager(2, 1)
 	m.LeadingAcquired()
 	m.LeadingAcquired()
 	if m.Leading() != 2 {
@@ -100,7 +110,7 @@ func TestLeadingAccounting(t *testing.T) {
 
 func TestCapacityInvariant(t *testing.T) {
 	// R=2, D=1: |F_t| must never exceed R+2D = 4.
-	m := New[record.Record](2, 1)
+	m := newTestManager(2, 1)
 	for i := 0; i < 4; i++ {
 		m.Insert(mkBlock(i, 0, record.Key(10*i+10)))
 	}
@@ -113,7 +123,7 @@ func TestCapacityInvariant(t *testing.T) {
 }
 
 func TestMaxOccupiedHighWater(t *testing.T) {
-	m := New[record.Record](4, 2)
+	m := newTestManager(4, 2)
 	for i := 0; i < 3; i++ {
 		m.Insert(mkBlock(i, 0, record.Key(i+1)))
 	}
@@ -125,13 +135,15 @@ func TestMaxOccupiedHighWater(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	cases := map[string]func(){
-		"bad new":       func() { New[record.Record](0, 1) },
-		"empty insert":  func() { New[record.Record](1, 1).Insert(&Block[record.Record]{Run: 0, Idx: 0}) },
-		"double insert": func() { m := New[record.Record](4, 1); m.Insert(mkBlock(0, 0, 1)); m.Insert(mkBlock(0, 0, 1)) },
-		"absent take":   func() { New[record.Record](1, 1).Take(0, 0) },
-		"flush zero":    func() { m := New[record.Record](4, 1); m.Insert(mkBlock(0, 0, 1)); m.FlushVictims(0) },
-		"flush toomany": func() { m := New[record.Record](4, 1); m.Insert(mkBlock(0, 0, 1)); m.FlushVictims(2) },
-		"release empty": func() { New[record.Record](1, 1).LeadingReleased() },
+		"bad new":        func() { New[record.Record](0, 1, nil) },
+		"empty insert":   func() { newTestManager(1, 1).Insert(&Block[record.Record]{Run: 0, Idx: 0}) },
+		"double insert":  func() { m := newTestManager(4, 1); m.Insert(mkBlock(0, 0, 1)); m.Insert(mkBlock(0, 0, 1)) },
+		"absent take":    func() { newTestManager(1, 1).Take(0, 0) },
+		"flush zero":     func() { m := newTestManager(4, 1); m.Insert(mkBlock(0, 0, 1)); m.FlushVictims(0) },
+		"flush toomany":  func() { m := newTestManager(4, 1); m.Insert(mkBlock(0, 0, 1)); m.FlushVictims(2) },
+		"release empty":  func() { newTestManager(1, 1).LeadingReleased() },
+		"idx past run":   func() { newTestManager(4, 1).Has(0, 32) },
+		"run past merge": func() { newTestManager(4, 1).Insert(mkBlock(10, 0, 1)) },
 	}
 	for name, fn := range cases {
 		func() {
@@ -148,7 +160,7 @@ func TestPanics(t *testing.T) {
 func TestDuplicateFirstKeysAcrossRuns(t *testing.T) {
 	// Different runs can contribute blocks with equal first keys (inputs
 	// with duplicate keys); the manager must keep both.
-	m := New[record.Record](4, 1)
+	m := newTestManager(4, 1)
 	m.Insert(mkBlock(0, 3, 42))
 	m.Insert(mkBlock(1, 5, 42))
 	if m.Occupied() != 2 {

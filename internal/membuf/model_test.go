@@ -65,7 +65,7 @@ func TestManagerMatchesNaiveModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const r, d = 16, 4
-		m := New[record.Record](r, d)
+		m := newTestManager(r, d)
 		n := &naiveBuf{}
 		present := map[[2]int]bool{}
 		for step := 0; step < 250; step++ {

@@ -102,3 +102,32 @@ func TestAliasCheckCatchesWriterMutation(t *testing.T) {
 		})
 	}
 }
+
+// TestAliasCheckAuditsOnClose mutates a resident block that is never read
+// or freed again; Close's final audit walks every page and must catch it.
+func TestAliasCheckAuditsOnClose(t *testing.T) {
+	m := NewMemStore()
+	for _, i := range []int{0, memPageSize, 3*memPageSize + 1} {
+		if err := m.WriteBlock(BlockAddr{Disk: 2, Index: i}, StoredBlock{Recs16: []record.Rec16{{Key: 1}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := BlockAddr{Disk: 2, Index: 3*memPageSize + 1}
+	got, err := m.ReadBlock(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Recs16[0].Key = 2 // the contract violation
+
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Close did not panic on a mutated resident block")
+		}
+		msg, ok := r.(string)
+		if !ok || !strings.Contains(msg, "aliascheck") || !strings.Contains(msg, bad.String()) {
+			t.Fatalf("unexpected panic: %v", r)
+		}
+	}()
+	m.Close()
+}

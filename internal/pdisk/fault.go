@@ -33,7 +33,13 @@ var ErrInjected = errors.New("pdisk: injected fault")
 //   - Seeded faults and latency: each operation kind draws from its own
 //     rand stream derived from Seed, so the fate of the n-th read is a
 //     pure function of (Seed, n) — independent of how reads interleave
-//     with writes, frees or other goroutines. ReadFailProb (etc.) is the
+//     with writes or frees. Which address draws the n-th fate is fixed
+//     only when one I/O operation's transfers run in a fixed order. Over
+//     a SerialStore backend (MemStore) they do: FaultStore forwards
+//     SerialTransfers, so the System runs them inline in request order.
+//     Over a concurrent backend (FileStore) an operation's per-disk
+//     transfers race, and which of them draws the n-th fate depends on
+//     scheduling. ReadFailProb (etc.) is the
 //     per-operation failure probability; TornWriteProb the per-write
 //     tearing probability; MaxLatency > 0 adds a uniform [0, MaxLatency)
 //     delay to every operation, modelling a slow device. ParetoScale > 0
@@ -369,6 +375,16 @@ func (f *FaultStore) Blocks() []BlockAddr {
 		return bl.Blocks()
 	}
 	return nil
+}
+
+// SerialTransfers forwards the wrapped store's scheduling preference, so
+// the System runs a serial backend's transfers inline — in request order,
+// which is what keeps a seeded fault schedule reproducible.
+func (f *FaultStore) SerialTransfers() bool {
+	if ss, ok := f.inner.(SerialStore); ok {
+		return ss.SerialTransfers()
+	}
+	return false
 }
 
 // Close implements Store.

@@ -116,49 +116,116 @@ func storedBytes(b StoredBlock) int64 {
 	return n
 }
 
-// MemStore is the default Store: a per-disk map of blocks held in process
-// memory. It is the store the experiments run on (the paper's own
+// MemStore is the default Store: a per-disk slot table of blocks held in
+// process memory. It is the store the experiments run on (the paper's own
 // evaluation is likewise a simulation).
+//
+// System.Alloc hands out dense, monotonic indices per disk, so a block is
+// found by position rather than by hashing: each disk is a slice of
+// fixed-size pages of memPageSize slots, and block i lives in slot
+// i%memPageSize of page i/memPageSize. A page is released once its last
+// block is freed and reused for the next page needed on any disk, so the
+// table follows the live blocks rather than every address ever written.
 //
 // Reads are zero-copy: ReadBlock returns the resident block itself under
 // the Store ownership-handoff contract (readers never mutate). Build with
 // -tags=aliascheck to arm a per-block checksum that catches violations.
 type MemStore struct {
 	mu       sync.RWMutex
-	disks    map[int]map[int]StoredBlock
-	sums     map[BlockAddr]uint64 // aliascheck only: content checksum at write
+	disks    [][]*memPage // per disk, page p holds indices [p*memPageSize, (p+1)*memPageSize); nil = no live block
+	spare    []*memPage   // released pages, all slots empty, kept for reuse
+	closed   bool
 	blocks   int64
 	bytes    int64
 	manifest []byte // ManifestStore state; nil = no manifest
 }
 
+// memPageSize is the number of block slots in one MemStore page.
+const memPageSize = 256
+
+// memPage is one run of memPageSize consecutive block slots of a disk.
+type memPage struct {
+	slots [memPageSize]memSlot
+	sums  []uint64 // aliascheck only: content checksum of each slot at write
+	live  int      // occupied slots; the page is released when it reaches zero
+}
+
+// memSlot holds one block; ok distinguishes a resident empty block from
+// an unused slot.
+type memSlot struct {
+	b  StoredBlock
+	ok bool
+}
+
 // NewMemStore returns an empty in-memory block store.
-func NewMemStore() *MemStore {
-	m := &MemStore{disks: make(map[int]map[int]StoredBlock)}
-	if aliasCheck {
-		m.sums = make(map[BlockAddr]uint64)
+func NewMemStore() *MemStore { return &MemStore{} }
+
+// lookup returns the page and slot index holding addr, or a nil page when
+// the address lies outside every allocated page (including negative or
+// never-written disks and indices). The caller holds m.mu.
+func (m *MemStore) lookup(addr BlockAddr) (*memPage, int) {
+	if addr.Disk < 0 || addr.Disk >= len(m.disks) || addr.Index < 0 {
+		return nil, 0
 	}
-	return m
+	pages := m.disks[addr.Disk]
+	if p := addr.Index / memPageSize; p < len(pages) {
+		return pages[p], addr.Index % memPageSize
+	}
+	return nil, 0
+}
+
+// page returns the page holding addr, installing one (a spare if any)
+// when there is none. The caller holds m.mu for writing and has checked
+// that addr is non-negative.
+func (m *MemStore) page(addr BlockAddr) *memPage {
+	for addr.Disk >= len(m.disks) {
+		m.disks = append(m.disks, nil)
+	}
+	pages := m.disks[addr.Disk]
+	p := addr.Index / memPageSize
+	for p >= len(pages) {
+		pages = append(pages, nil)
+	}
+	m.disks[addr.Disk] = pages
+	if pages[p] == nil {
+		if n := len(m.spare); n > 0 {
+			pages[p] = m.spare[n-1]
+			m.spare[n-1] = nil
+			m.spare = m.spare[:n-1]
+		} else {
+			pages[p] = &memPage{}
+			if aliasCheck {
+				pages[p].sums = make([]uint64, memPageSize)
+			}
+		}
+	}
+	return pages[p]
 }
 
 // WriteBlock implements Store.
 func (m *MemStore) WriteBlock(addr BlockAddr, b StoredBlock) error {
+	if addr.Disk < 0 || addr.Index < 0 {
+		return fmt.Errorf("%w: write to invalid address %v", ErrInvalid, addr)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	d, ok := m.disks[addr.Disk]
-	if !ok {
-		d = make(map[int]StoredBlock)
-		m.disks[addr.Disk] = d
+	if m.closed {
+		return fmt.Errorf("%w: MemStore used after Close", ErrInvalid)
 	}
-	if old, ok := d[addr.Index]; ok {
-		m.bytes -= storedBytes(old)
+	pg := m.page(addr)
+	i := addr.Index % memPageSize
+	s := &pg.slots[i]
+	if s.ok {
+		m.bytes -= storedBytes(s.b)
 	} else {
+		s.ok = true
+		pg.live++
 		m.blocks++
 	}
-	d[addr.Index] = b
+	s.b = b
 	m.bytes += storedBytes(b)
 	if aliasCheck {
-		m.sums[addr] = contentSum(b)
+		pg.sums[i] = contentSum(b)
 	}
 	return nil
 }
@@ -168,44 +235,62 @@ func (m *MemStore) WriteBlock(addr BlockAddr, b StoredBlock) error {
 func (m *MemStore) ReadBlock(addr BlockAddr) (StoredBlock, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	b, ok := m.disks[addr.Disk][addr.Index]
-	if !ok {
+	pg, i := m.lookup(addr)
+	if pg == nil || !pg.slots[i].ok {
 		return StoredBlock{}, fmt.Errorf("%w: no block at %v", ErrAbsent, addr)
 	}
+	b := pg.slots[i].b
 	if aliasCheck {
-		m.verifySum(addr, b)
+		verifySum(addr, b, pg.sums[i])
 	}
 	return b, nil
 }
 
-// Free implements Store.
+// Free implements Store. Freeing the last block of a page releases the
+// page for reuse.
 func (m *MemStore) Free(addr BlockAddr) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	d, ok := m.disks[addr.Disk]
-	if !ok {
-		return fmt.Errorf("%w: free of absent block %v", ErrAbsent, addr)
-	}
-	b, ok := d[addr.Index]
-	if !ok {
+	pg, i := m.lookup(addr)
+	if pg == nil || !pg.slots[i].ok {
 		return fmt.Errorf("%w: free of absent block %v", ErrAbsent, addr)
 	}
 	if aliasCheck {
-		m.verifySum(addr, b)
-		delete(m.sums, addr)
+		verifySum(addr, pg.slots[i].b, pg.sums[i])
 	}
-	delete(d, addr.Index)
 	m.blocks--
-	m.bytes -= storedBytes(b)
+	m.bytes -= storedBytes(pg.slots[i].b)
+	pg.slots[i] = memSlot{}
+	if pg.live--; pg.live == 0 {
+		m.disks[addr.Disk][addr.Index/memPageSize] = nil
+		m.spare = append(m.spare, pg)
+	}
 	return nil
 }
 
-// verifySum panics if the resident block no longer matches the checksum
+// each calls fn for every resident block in (disk, index) order. The
+// caller holds m.mu.
+func (m *MemStore) each(fn func(addr BlockAddr, pg *memPage, i int)) {
+	for disk, pages := range m.disks {
+		for p, pg := range pages {
+			if pg == nil {
+				continue
+			}
+			for i := range pg.slots {
+				if pg.slots[i].ok {
+					fn(BlockAddr{Disk: disk, Index: p*memPageSize + i}, pg, i)
+				}
+			}
+		}
+	}
+}
+
+// verifySum panics if a resident block no longer matches the checksum
 // recorded when it was written — i.e. some reader mutated a block it
 // received through the zero-copy ReadBlock path. Compiled in only under
 // -tags=aliascheck.
-func (m *MemStore) verifySum(addr BlockAddr, b StoredBlock) {
-	if got, want := contentSum(b), m.sums[addr]; got != want {
+func verifySum(addr BlockAddr, b StoredBlock, want uint64) {
+	if got := contentSum(b); got != want {
 		panic(fmt.Sprintf(
 			"pdisk: aliascheck: block %v mutated after write (sum %#x, recorded %#x) — a reader violated the ReadBlock ownership contract",
 			addr, got, want))
@@ -257,22 +342,21 @@ func (m *MemStore) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if aliasCheck {
-		for disk, d := range m.disks {
-			for idx, b := range d {
-				m.verifySum(BlockAddr{Disk: disk, Index: idx}, b)
-			}
-		}
+		m.each(func(addr BlockAddr, pg *memPage, i int) {
+			verifySum(addr, pg.slots[i].b, pg.sums[i])
+		})
 	}
 	m.disks = nil
-	m.sums = nil
+	m.spare = nil
+	m.closed = true
 	m.manifest = nil
 	m.blocks, m.bytes = 0, 0
 	return nil
 }
 
 // SerialTransfers implements SerialStore: every MemStore operation is a
-// map access behind m.mu, so fanning transfers out to goroutines only adds
-// scheduling cost.
+// slot access behind m.mu, so fanning transfers out to goroutines only
+// adds scheduling cost.
 func (m *MemStore) SerialTransfers() bool { return true }
 
 // Frontier implements FrontierStore: the lowest index strictly above
@@ -282,13 +366,20 @@ func (m *MemStore) SerialTransfers() bool { return true }
 func (m *MemStore) Frontier(disk int) (int, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	frontier := 0
-	for idx := range m.disks[disk] {
-		if idx+1 > frontier {
-			frontier = idx + 1
+	if disk < 0 || disk >= len(m.disks) {
+		return 0, nil
+	}
+	pages := m.disks[disk]
+	for p := len(pages) - 1; p >= 0; p-- {
+		if pg := pages[p]; pg != nil {
+			for i := memPageSize - 1; i >= 0; i-- {
+				if pg.slots[i].ok {
+					return p*memPageSize + i + 1, nil
+				}
+			}
 		}
 	}
-	return frontier, nil
+	return 0, nil
 }
 
 // SaveManifest implements ManifestStore, holding the manifest in memory
@@ -296,7 +387,7 @@ func (m *MemStore) Frontier(disk int) (int, error) {
 func (m *MemStore) SaveManifest(data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.disks == nil {
+	if m.closed {
 		return fmt.Errorf("%w: MemStore used after Close", ErrInvalid)
 	}
 	m.manifest = append([]byte(nil), data...)
@@ -326,10 +417,8 @@ func (m *MemStore) Blocks() []BlockAddr {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := make([]BlockAddr, 0, m.blocks)
-	for disk, d := range m.disks {
-		for idx := range d {
-			out = append(out, BlockAddr{Disk: disk, Index: idx})
-		}
-	}
+	m.each(func(addr BlockAddr, _ *memPage, _ int) {
+		out = append(out, addr)
+	})
 	return out
 }

@@ -265,19 +265,26 @@ func (Fixed16) AppendRecord(dst []byte, r Record) ([]byte, error) {
 	return append(dst, buf[:]...), nil
 }
 
-// ReadRecord implements Codec.
+// ReadRecord implements Codec. It decodes in place from the reader's
+// buffer (Peek, then Discard), so reading a record allocates nothing.
 func (Fixed16) ReadRecord(br *bufio.Reader) (Record, error) {
-	var buf [Bytes]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		if err == io.EOF {
+	buf, err := br.Peek(Bytes)
+	if len(buf) < Bytes {
+		if len(buf) == 0 && err == io.EOF {
 			return Record{}, io.EOF
 		}
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		_, _ = br.Discard(len(buf)) // cannot fail: the bytes are buffered
 		return Record{}, fmt.Errorf("%w: truncated %d-byte record: %v", ErrCorrupt, Bytes, err)
 	}
-	return Record{
+	r := Record{
 		Key: Key(binary.LittleEndian.Uint64(buf[0:])),
 		Val: binary.LittleEndian.Uint64(buf[8:]),
-	}, nil
+	}
+	_, _ = br.Discard(Bytes) // cannot fail: Peek buffered them
+	return r, nil
 }
 
 // Block body flags of the Varlen codec: the first byte of every encoded

@@ -601,3 +601,40 @@ func TestVarlenCodecAllocs(t *testing.T) {
 		}
 	}
 }
+
+// Fixed16's wire reader decodes straight out of the bufio buffer: reading
+// a record allocates nothing (sortd ingest, stream decode and
+// ReadRecords each call it once per record), and a torn tail is still
+// ErrCorrupt at every offset.
+func TestFixed16ReadRecordAllocs(t *testing.T) {
+	var wire []byte
+	for _, r := range NewGenerator(5).Random(64) {
+		wire, _ = Fixed16{}.AppendRecord(wire, r)
+	}
+	for cut := 1; cut < Bytes; cut++ {
+		br := bufio.NewReader(bytes.NewReader(wire[:Bytes+cut]))
+		if _, err := (Fixed16{}).ReadRecord(br); err != nil {
+			t.Fatalf("cut %d: first record: %v", cut, err)
+		}
+		if _, err := (Fixed16{}).ReadRecord(br); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("cut %d: torn record: got %v, want ErrCorrupt", cut, err)
+		}
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	src := bytes.NewReader(wire)
+	br := bufio.NewReader(src)
+	got := testing.AllocsPerRun(100, func() {
+		src.Reset(wire)
+		br.Reset(src)
+		for {
+			if _, err := (Fixed16{}).ReadRecord(br); err != nil {
+				break
+			}
+		}
+	})
+	if got != 0 {
+		t.Fatalf("Fixed16.ReadRecord: %.1f allocs per 64 records, want 0", got)
+	}
+}

@@ -218,7 +218,9 @@ func MergeChannel(runs []*Run, d, channel, r int) (Stats, error) {
 		return Stats{}, fmt.Errorf("sim: %d runs exceed merge order R=%d", len(runs), r)
 	}
 	total := 0
-	for _, run := range runs {
+	blocks := make([]int, len(runs))
+	for h, run := range runs {
+		blocks[h] = run.NumBlocks()
 		if run.NumBlocks() == 0 {
 			return Stats{}, fmt.Errorf("sim: empty run")
 		}
@@ -233,7 +235,7 @@ func MergeChannel(runs []*Run, d, channel, r int) (Stats, error) {
 		r:         r,
 		runs:      runs,
 		fds:       forecast.New(d, len(runs)),
-		mem:       membuf.New[record.Rec16](r, d),
+		mem:       membuf.New[record.Rec16](r, d, blocks),
 		leadIdx:   make([]int, len(runs)),
 		leadLast:  make([]record.Key, len(runs)),
 		need:      make([]int, len(runs)),

@@ -141,15 +141,15 @@ func (m *merger[R]) pushHead(h int) {
 	}
 }
 
-// updateHead re-keys live run h after its head record advanced; the
-// winner-replay fast path of the loser tree. Same prefix-pair rule as
-// pushHead.
+// updateHead re-keys run h, the live winner, after its head record
+// advanced: the loser tree's unchecked winner replay. Same prefix-pair
+// rule as pushHead.
 func (m *merger[R]) updateHead(h int) {
 	r := m.lead[h][0]
 	if m.varlen {
-		m.active.UpdateKV(h, uint64(r.K()), r.V())
+		m.active.UpdateMinKV(uint64(r.K()), r.V())
 	} else {
-		m.active.Update(h, uint64(r.K()))
+		m.active.UpdateMin(uint64(r.K()))
 	}
 }
 
@@ -206,10 +206,12 @@ func newMerger[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r in
 	if len(runs) > r {
 		return nil, fmt.Errorf("srm: %d runs exceed merge order R=%d", len(runs), r)
 	}
-	for _, run := range runs {
+	blocks := make([]int, len(runs))
+	for h, run := range runs {
 		if run.NumBlocks() == 0 {
 			return nil, fmt.Errorf("srm: run %d is empty", run.ID)
 		}
+		blocks[h] = run.NumBlocks()
 	}
 	return &merger[R]{
 		sys:       sys,
@@ -217,7 +219,7 @@ func newMerger[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r in
 		d:         sys.D(),
 		runs:      runs,
 		fds:       forecast.New(sys.D(), len(runs)),
-		mem:       membuf.New[R](r, sys.D()),
+		mem:       membuf.New[R](r, sys.D(), blocks),
 		out:       out,
 		lead:      make([][]R, len(runs)),
 		leadIdx:   make([]int, len(runs)),

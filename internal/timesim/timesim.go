@@ -117,7 +117,9 @@ func Merge(runs []*sim.Run, d, r int, p Params) (Result, error) {
 		return Result{}, fmt.Errorf("timesim: %d runs exceed merge order %d", len(runs), r)
 	}
 	total := 0
-	for _, run := range runs {
+	blocks := make([]int, len(runs))
+	for h, run := range runs {
+		blocks[h] = run.NumBlocks()
 		if run.NumBlocks() == 0 {
 			return Result{}, fmt.Errorf("timesim: empty run")
 		}
@@ -130,7 +132,7 @@ func Merge(runs []*sim.Run, d, r int, p Params) (Result, error) {
 		d: d, r: r, p: p,
 		runs:      runs,
 		fds:       forecast.New(d, len(runs)),
-		mem:       membuf.New[record.Rec16](r, d),
+		mem:       membuf.New[record.Rec16](r, d, blocks),
 		leadIdx:   make([]int, len(runs)),
 		leadLast:  make([]record.Key, len(runs)),
 		need:      make([]int, len(runs)),

@@ -13,9 +13,10 @@ func guardSortInput(n int) []Record {
 }
 
 // TestFixed16SortAllocGuard pins the fixed16 SRM/mem sort's per-record
-// allocation figures just above their measured levels: 0.284 allocs/rec
-// and 167 B/rec for this input, identical at every GOMAXPROCS and under
-// -race (EXPERIMENTS.md, "One serial fixed16 merge step"). The margins
+// allocation figures just above their measured levels: 0.281 allocs/rec
+// and 153 B/rec for this input, identical at every GOMAXPROCS and under
+// -race and aliascheck (EXPERIMENTS.md, "One serial fixed16 merge step";
+// the slot-table MemStore took the bytes from 167 to 153). The margins
 // (~25% on allocs, ~20% on bytes) absorb runtime-version drift, not
 // structural change: a per-block copy re-entering the write path or a
 // scratch buffer per merge step (together 70 B/rec, 237 before they
@@ -38,7 +39,7 @@ func TestFixed16SortAllocGuard(t *testing.T) {
 		}
 	})
 	if perRec := allocs / n; perRec > 0.36 {
-		t.Errorf("fixed16 sort allocates %.3f objects/rec, want <= 0.36 (measured 0.284)", perRec)
+		t.Errorf("fixed16 sort allocates %.3f objects/rec, want <= 0.36 (measured 0.281)", perRec)
 	}
 
 	// Allocated bytes per record: TotalAlloc is cumulative and unaffected
@@ -57,7 +58,7 @@ func TestFixed16SortAllocGuard(t *testing.T) {
 			best = b
 		}
 	}
-	if best > 200 {
-		t.Errorf("fixed16 sort allocates %.0f B/rec, want <= 200 (measured 167)", best)
+	if best > 185 {
+		t.Errorf("fixed16 sort allocates %.0f B/rec, want <= 185 (measured 153)", best)
 	}
 }

@@ -28,7 +28,7 @@ check: fmt-check build
 		echo "staticcheck not installed; skipping (go vet still ran)"; fi
 	go test -race ./...
 	go test -tags=aliascheck ./internal/pdisk/ ./internal/srm/
-	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge|SortShapes' -benchtime=1x .
+	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge|ParallelWorkers|SortShapes' -benchtime=1x .
 
 # The whole suite with MemStore's zero-copy mutation guard armed: every
 # block read is checksum-audited, so any merge path that mutates a block
@@ -69,7 +69,7 @@ fmt-check:
 # with ns/record, B/record and allocs/record per cell — the perf
 # trajectory future PRs regress against (see EXPERIMENTS.md).
 bench:
-	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge|SortShapes' -benchmem . | tee bench_sort_output.txt
+	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge|ParallelWorkers|SortShapes' -benchmem . | tee bench_sort_output.txt
 	go run ./cmd/benchjson -o BENCH_sort.json bench_sort_output.txt
 
 # Every benchmark in the repository (micro and end-to-end).
@@ -80,12 +80,12 @@ bench-all:
 # deltas against the committed BENCH_sort.json baseline — the perf gate a
 # change is judged by before the baseline itself is refreshed.
 bench-diff:
-	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge|SortShapes' -benchmem . | tee bench_sort_output.txt
+	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge|ParallelWorkers|SortShapes' -benchmem . | tee bench_sort_output.txt
 	go run ./cmd/benchjson -diff BENCH_sort.json bench_sort_output.txt
 
 # One iteration per cell: proves the harness runs, measures nothing.
 bench-smoke:
-	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge|SortShapes' -benchtime=1x .
+	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge|ParallelWorkers|SortShapes' -benchtime=1x .
 
 # The repository benchmark (perfbench/, declared in BENCHMARK.json):
 # every workload once untraced (end-to-end metrics) and once traced

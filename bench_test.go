@@ -563,10 +563,13 @@ func BenchmarkAblationPartialStriping(b *testing.B) {
 }
 
 // BenchmarkParallelWorkers measures the host-side speedup of executing a
-// pass's independent merges on multiple goroutines (identical I/O counts).
+// pass's independent merges on multiple goroutines (identical I/O counts)
+// — Config.Workers, the one pass-level parallelism knob (Cores shards run
+// formation only).
 func BenchmarkParallelWorkers(b *testing.B) {
-	in := benchRecords(300_000, 98)
-	for _, workers := range []int{1, 4} {
+	const n = 300_000
+	in := benchRecords(n, 98)
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := Sort(in, Config{
@@ -575,6 +578,7 @@ func BenchmarkParallelWorkers(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(n)*float64(b.N)), "ns/rec")
 		})
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"srmsort/internal/pdisk"
 	"srmsort/internal/record"
 	"srmsort/internal/runio"
-	"srmsort/internal/srm"
 )
 
 // manifestVersion guards the manifest's JSON schema.
@@ -297,10 +296,10 @@ func dsmRunStates(runs []*dsm.Run) []dsm.RunState {
 	return out
 }
 
-// resumeMerge re-enters the merge loop from a verified manifest
-// generation and returns the final-run iterator, exactly like
-// runAlgorithm does for a fresh sort. Completed passes are not redone:
-// stats counts only the work performed now.
+// resumeMerge re-enters the merge phase a fresh sort runs (mergeSRM or
+// mergeDSM) from a verified manifest generation and returns the final-run
+// iterator. Completed passes are not redone: stats counts only the work
+// performed now.
 func resumeMerge[R record.KernelRecord](sys *pdisk.System, store pdisk.Store, man *manifest, cfg Config, r int, stats *Stats, tr *progressTracker) (func(func(R) error) error, error) {
 	gen, err := chooseGen(store, man)
 	if err != nil {
@@ -323,85 +322,21 @@ func resumeMerge[R record.KernelRecord](sys *pdisk.System, store pdisk.Store, ma
 		return nil, fmt.Errorf("srmsort: store cannot persist a checkpoint manifest")
 	}
 
+	if runsLeft == 0 {
+		return nil, fmt.Errorf("srmsort: manifest holds no runs")
+	}
 	if cfg.Algorithm == DSM {
 		runs := make([]*dsm.Run, len(gen.DSMRuns))
 		for i, st := range gen.DSMRuns {
 			runs[i] = dsm.RunFromState(st)
 		}
-		if len(runs) == 0 {
-			return nil, fmt.Errorf("srmsort: manifest holds no runs")
-		}
-		var final *dsm.Run
-		if len(runs) == 1 {
-			final = runs[0]
-		} else {
-			opts := dsm.MergeAllOpts{Async: cfg.Async, AfterPass: func(pass int, survivors []*dsm.Run, seq int) error {
-				if err := cp.save(runGen{Pass: gen.Pass + pass, Seq: seq, DSMRuns: dsmRunStates(survivors)}); err != nil {
-					return err
-				}
-				tr.pass(gen.Pass, pass, len(survivors))
-				return nil
-			}}
-			var ms dsm.SortStats
-			final, ms, _, err = dsm.MergeAll[R](sys, runs, r, gen.Seq, opts)
-			if err != nil {
-				return nil, err
-			}
-			stats.MergePasses = ms.MergePasses
-			stats.MergeReads = ms.MergeReadOps
-			stats.MergeWrites = ms.MergeWriteOps
-		}
-		if cfg.Async {
-			return func(fn func(R) error) error { return dsm.StreamAsync(sys, final, fn) }, nil
-		}
-		return func(fn func(R) error) error { return dsm.Stream(sys, final, fn) }, nil
+		return mergeDSM[R](sys, cfg, r, gen, runs, stats, cp, tr)
 	}
-
-	// SRM family.
 	runs := make([]*runio.Run, len(gen.Runs))
 	for i, st := range gen.Runs {
 		runs[i] = runio.RunFromState(st)
 	}
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("srmsort: manifest holds no runs")
-	}
-	var final *runio.Run
-	if len(runs) == 1 {
-		final = runs[0]
-	} else {
-		counting := &runio.CountingPlacement{Inner: replayedPlacement(cfg, gen.Draws)}
-		opts := srm.SortOpts{
-			Async:   cfg.Async,
-			Workers: cfg.Workers,
-			AfterPass: func(pass int, survivors []*runio.Run, seq int) error {
-				if err := cp.save(runGen{
-					Pass:  gen.Pass + pass,
-					Seq:   seq,
-					Draws: gen.Draws + counting.Draws(),
-					Runs:  runStates(survivors),
-				}); err != nil {
-					return err
-				}
-				tr.pass(gen.Pass, pass, len(survivors))
-				return nil
-			},
-		}
-		var ss srm.SortStats
-		final, ss, _, err = srm.SortRunsOpts[R](sys, runs, r, counting, gen.Seq, opts)
-		if err != nil {
-			return nil, err
-		}
-		stats.MergePasses = ss.MergePasses
-		stats.MergeReads = ss.ReadOps
-		stats.MergeWrites = ss.WriteOps
-		stats.Flushes = ss.Flushes
-		stats.BlocksFlushed = ss.BlocksFlushed
-		stats.BlocksReread = ss.BlocksReread
-	}
-	if cfg.Async {
-		return func(fn func(R) error) error { return runio.StreamAsync(sys, final, fn) }, nil
-	}
-	return func(fn func(R) error) error { return runio.Stream(sys, final, fn) }, nil
+	return mergeSRM[R](sys, cfg, r, gen, runs, replayedPlacement(cfg, gen.Draws), stats, cp, tr)
 }
 
 // Scrub opens the FileStore under cfg.Dir and audits every resident

@@ -72,7 +72,7 @@ func main() {
 		alg         = flag.String("alg", "srm", "default algorithm: srm, srm-det, dsm, psv")
 		seed        = flag.Int64("seed", 1, "default placement seed")
 		async       = flag.Bool("async", false, "default: overlap I/O with merging")
-		workers     = flag.Int("workers", 0, "default merge workers (-1 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "default merges of a pass run at once (-1 = GOMAXPROCS; a job reserves M memory and a core for each)")
 		cores       = flag.Int("cores", 1, "default cores per job's sort steps (identical output at any value)")
 		codec       = flag.String("codec", "fixed16", "default record codec: fixed16, varlen, varlen+flate")
 	)

@@ -279,9 +279,9 @@ func FuzzGallopMergeEquiv(f *testing.F) {
 			}
 			var merged *runio.Run
 			if async {
-				merged, _, err = srm.MergeAsync[record.Record](sys, stored, len(stored), 1000, 0)
+				merged, _, err = srm.Merge[record.Record](sys, stored, len(stored), 1000, 0, srm.MergeOpts{Async: true})
 			} else {
-				merged, _, err = srm.Merge[record.Record](sys, stored, len(stored), 1000, 0)
+				merged, _, err = srm.Merge[record.Record](sys, stored, len(stored), 1000, 0, srm.MergeOpts{})
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -11,14 +11,14 @@ import (
 	"srmsort/internal/runform"
 )
 
-// SortAsync must be indistinguishable from Sort: identical records out,
+// An async sort must be indistinguishable from a synchronous one: identical records out,
 // identical statistics, identical system-level operation counts.
 func TestSortAsyncEquivalence(t *testing.T) {
 	for _, d := range []int{1, 2, 4, 8} {
 		g := record.NewGenerator(int64(d) * 31)
 		all := g.Random(2000)
 
-		do := func(async bool) ([]record.Record, SortStats, int64) {
+		do := func(async bool) ([]record.Record, fileSort, int64) {
 			sys := newSys(t, d, 4)
 			defer sys.Close()
 			file, err := runform.LoadInput(sys, all)
@@ -26,15 +26,7 @@ func TestSortAsyncEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			sys.ResetStats()
-			var (
-				final *Run
-				st    SortStats
-			)
-			if async {
-				final, st, err = SortAsync[record.Record](sys, file, 120, 3)
-			} else {
-				final, st, err = Sort[record.Record](sys, file, 120, 3)
-			}
+			final, st, err := sortFile[record.Record](sys, file, 120, 3, async)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +56,8 @@ func TestSortAsyncEquivalence(t *testing.T) {
 	}
 }
 
-// StreamAsync must deliver the same records as Stream at the same read cost.
+// An async Stream must deliver the same records as a synchronous one at
+// the same read cost.
 func TestStreamAsyncEquivalence(t *testing.T) {
 	sys := newSys(t, 3, 4)
 	defer sys.Close()
@@ -83,14 +76,14 @@ func TestStreamAsyncEquivalence(t *testing.T) {
 
 	before := sys.Stats().ReadOps
 	var syncRecs []record.Record
-	if err := Stream[record.Record](sys, run, func(r record.Record) error { syncRecs = append(syncRecs, r); return nil }); err != nil {
+	if err := Stream[record.Record](sys, run, false, func(r record.Record) error { syncRecs = append(syncRecs, r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	syncReads := sys.Stats().ReadOps - before
 
 	before = sys.Stats().ReadOps
 	var asyncRecs []record.Record
-	if err := StreamAsync[record.Record](sys, run, func(r record.Record) error { asyncRecs = append(asyncRecs, r); return nil }); err != nil {
+	if err := Stream[record.Record](sys, run, true, func(r record.Record) error { asyncRecs = append(asyncRecs, r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	asyncReads := sys.Stats().ReadOps - before
@@ -111,7 +104,7 @@ func TestStreamAsyncEquivalence(t *testing.T) {
 	// readahead is collected, not leaked).
 	sentinel := errors.New("stop")
 	n := 0
-	err = StreamAsync[record.Record](sys, run, func(record.Record) error {
+	err = Stream[record.Record](sys, run, true, func(record.Record) error {
 		n++
 		if n == 5 {
 			return sentinel
@@ -156,7 +149,7 @@ func TestSortAsyncInjectedFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		fault.set(fs, sys.Stats())
-		_, _, err = SortAsync[record.Record](sys, file, 80, 3)
+		_, _, err = sortFile[record.Record](sys, file, 80, 3, true)
 		if !errors.Is(err, pdisk.ErrInjected) {
 			t.Fatalf("%s fault: %v, want ErrInjected", fault.name, err)
 		}

@@ -34,11 +34,7 @@ func TestSortBackendEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.ResetStats()
-		sort := Sort[record.Record]
-		if async {
-			sort = SortAsync[record.Record]
-		}
-		final, _, err := sort(sys, file, 90, 3)
+		final, _, err := sortFile[record.Record](sys, file, 90, 3, async)
 		if err != nil {
 			t.Fatal(err)
 		}

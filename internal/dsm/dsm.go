@@ -24,6 +24,7 @@ import (
 	"srmsort/internal/pmerge"
 	"srmsort/internal/record"
 	"srmsort/internal/runform"
+	"srmsort/internal/runio"
 )
 
 // MergeOrder returns R_DSM, the number of runs DSM merges at a time with
@@ -96,16 +97,6 @@ type Writer[R record.KernelRecord] struct {
 // NewWriter starts a new striped run with the given id.
 func NewWriter[R record.KernelRecord](sys *pdisk.System, id int) *Writer[R] {
 	return &Writer[R]{sys: sys, run: &Run{ID: id}}
-}
-
-// NewWriterAsync is NewWriter with write-behind: each logical block is
-// issued asynchronously and awaited only when the next one is ready (or at
-// Finish). Emitted stripes and operation counts are identical to the
-// synchronous writer's.
-func NewWriterAsync[R record.KernelRecord](sys *pdisk.System, id int) *Writer[R] {
-	w := NewWriter[R](sys, id)
-	w.async = true
-	return w
 }
 
 // Append adds the next record; records must arrive in nondecreasing key
@@ -211,65 +202,45 @@ func (w *Writer[R]) Finish() (*Run, error) {
 	return w.run, nil
 }
 
-// readStripe fetches logical block s of a run in one I/O operation.
-func readStripe[R record.KernelRecord](sys *pdisk.System, r *Run, s int) ([]R, error) {
-	blocks, err := sys.ReadBlocks(r.stripes[s])
-	if err != nil {
-		return nil, err
-	}
-	var out []R
-	for _, b := range blocks {
-		out = append(out, pdisk.RecsOf[R](b)...)
-	}
-	return out, nil
-}
-
 // MergeStats reports the I/O cost of one DSM merge.
 type MergeStats struct {
 	ReadOps  int64
 	WriteOps int64
 }
 
-// Merge merges the given runs into one, reading one logical block per I/O
-// operation exactly when a run's buffer drains (the classical k-way merge
-// with striped disks). The number of read operations is precisely the total
-// number of logical input blocks.
-func Merge[R record.KernelRecord](sys *pdisk.System, runs []*Run, outID int) (*Run, MergeStats, error) {
-	return mergeRuns[R](sys, runs, outID, false)
+// stripeReader hands out one run's logical blocks in order, one I/O
+// operation each. An async reader keeps the next one in flight — the
+// run's second read buffer.
+type stripeReader[R record.KernelRecord] struct {
+	sys   *pdisk.System
+	run   *Run
+	async bool
+	next  int // next stripe to deliver (the in-flight one, if any)
+	fut   *pdisk.ReadFuture
 }
 
-// MergeAsync is Merge with overlapped I/O: each run's next logical block is
-// prefetched while the current one is consumed (the double buffering DSM's
-// memory budget of 2 logical blocks per run provides for), and output
-// stripes are written behind the merge. Every stripe is still read exactly
-// once and written exactly once, so statistics and output are identical to
-// Merge's.
-func MergeAsync[R record.KernelRecord](sys *pdisk.System, runs []*Run, outID int) (*Run, MergeStats, error) {
-	return mergeRuns[R](sys, runs, outID, true)
-}
+// more reports whether stripes remain to be fetched.
+func (p *stripeReader[R]) more() bool { return p.next < p.run.NumStripes() }
 
-// stripePrefetcher hands out one run's logical blocks in order, keeping the
-// next one in flight — the run's second read buffer.
-type stripePrefetcher[R record.KernelRecord] struct {
-	sys  *pdisk.System
-	run  *Run
-	next int // stripe the in-flight future (if any) will deliver
-	fut  *pdisk.ReadFuture
-}
-
-// fetch returns the records of the next stripe and issues the read of the
-// one after. The caller must not call it past the last stripe.
-func (p *stripePrefetcher[R]) fetch() ([]R, error) {
-	if p.fut == nil {
-		p.fut = p.sys.ReadBlocksAsync(p.run.stripes[p.next])
+// fetch returns the records of the next stripe and, when async, issues the
+// read of the one after. The caller must not call it past the last stripe.
+func (p *stripeReader[R]) fetch() ([]R, error) {
+	var blocks []pdisk.StoredBlock
+	var err error
+	if p.async {
+		if p.fut == nil {
+			p.fut = p.sys.ReadBlocksAsync(p.run.stripes[p.next])
+		}
+		blocks, err = p.fut.Wait()
+		p.fut = nil
+	} else {
+		blocks, err = p.sys.ReadBlocks(p.run.stripes[p.next])
 	}
-	blocks, err := p.fut.Wait()
-	p.fut = nil
 	if err != nil {
 		return nil, err
 	}
 	p.next++
-	if p.next < p.run.NumStripes() {
+	if p.async && p.more() {
 		p.fut = p.sys.ReadBlocksAsync(p.run.stripes[p.next])
 	}
 	var out []R
@@ -280,14 +251,24 @@ func (p *stripePrefetcher[R]) fetch() ([]R, error) {
 }
 
 // drain collects an abandoned in-flight read (error-path cleanup).
-func (p *stripePrefetcher[R]) drain() {
+func (p *stripeReader[R]) drain() {
 	if p.fut != nil {
 		p.fut.Wait()
 		p.fut = nil
 	}
 }
 
-func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*Run, outID int, async bool) (*Run, MergeStats, error) {
+// Merge merges the given runs into one, reading one logical block per I/O
+// operation exactly when a run's buffer drains (the classical k-way merge
+// with striped disks). The number of read operations is precisely the total
+// number of logical input blocks.
+//
+// With async, each run's next logical block is prefetched while the
+// current one is consumed (the double buffering DSM's memory budget of 2
+// logical blocks per run provides for), and output stripes are written
+// behind the merge. Every stripe is still read exactly once and written
+// exactly once, so statistics and output are the same either way.
+func Merge[R record.KernelRecord](sys *pdisk.System, runs []*Run, outID int, async bool) (*Run, MergeStats, error) {
 	if len(runs) == 0 {
 		return nil, MergeStats{}, fmt.Errorf("dsm: merge of zero runs")
 	}
@@ -296,34 +277,23 @@ func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*Run, outID int,
 	writesBefore := sys.Stats().WriteOps
 
 	bufs := make([][]R, len(runs))
-	nextStripe := make([]int, len(runs))
-	var prefetchers []*stripePrefetcher[R]
-	if async {
-		prefetchers = make([]*stripePrefetcher[R], len(runs))
-		for i, r := range runs {
-			prefetchers[i] = &stripePrefetcher[R]{sys: sys, run: r}
-		}
-		// On any return, no read may be left in flight: an unwaited future
-		// is an unaccounted operation and a live reference to worker state.
-		defer func() {
-			for _, p := range prefetchers {
-				p.drain()
-			}
-		}()
+	readers := make([]stripeReader[R], len(runs))
+	for i, r := range runs {
+		readers[i] = stripeReader[R]{sys: sys, run: r, async: async}
 	}
+	// On any return, no read may be left in flight: an unwaited future is
+	// an unaccounted operation and a live reference to worker state.
+	defer func() {
+		for i := range readers {
+			readers[i].drain()
+		}
+	}()
 	refill := func(i int) error {
-		for len(bufs[i]) == 0 && nextStripe[i] < runs[i].NumStripes() {
-			var recs []R
-			var err error
-			if async {
-				recs, err = prefetchers[i].fetch()
-			} else {
-				recs, err = readStripe[R](sys, runs[i], nextStripe[i])
-			}
+		for len(bufs[i]) == 0 && readers[i].more() {
+			recs, err := readers[i].fetch()
 			if err != nil {
 				return err
 			}
-			nextStripe[i]++
 			bufs[i] = recs
 		}
 		return nil
@@ -364,9 +334,7 @@ func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*Run, outID int,
 		lt = ltree.New(keys)
 	}
 	w := NewWriter[R](sys, outID)
-	if async {
-		w.async = true
-	}
+	w.async = async
 	for lt.Len() > 0 {
 		i, _ := lt.Min()
 		// Galloped emission: run i keeps winning while its key is below the
@@ -424,44 +392,21 @@ func Free(sys *pdisk.System, r *Run) error {
 	return nil
 }
 
-// SortStats aggregates a full DSM sort.
+// SortStats aggregates the merge passes of a DSM sort.
 type SortStats struct {
-	RunFormationReads  int64
-	RunFormationWrites int64
-	MergePasses        int
-	Merges             int
-	MergeReadOps       int64
-	MergeWriteOps      int64
-	InitialRuns        int
-}
-
-// TotalOps returns all parallel I/O operations of the sort.
-func (s SortStats) TotalOps() int64 {
-	return s.RunFormationReads + s.RunFormationWrites + s.MergeReadOps + s.MergeWriteOps
+	MergePasses   int
+	Merges        int
+	MergeReadOps  int64
+	MergeWriteOps int64
 }
 
 // FormRuns performs DSM's run-formation pass: the striped input is read
-// with full parallelism, sorted one load at a time, and each load is
-// written out as a run in logical blocks.
-func FormRuns[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load int) ([]*Run, error) {
-	return formRuns[R](sys, file, load, false, 1)
-}
-
-// FormRunsAsync is FormRuns with each load's output stripes written behind
-// the in-memory sort of the next load.
-func FormRunsAsync[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load int) ([]*Run, error) {
-	return formRuns[R](sys, file, load, true, 1)
-}
-
-// FormRunsCores is FormRuns with each load sorted across up to cores
-// goroutines (pmerge.Sort); async selects write-behind as in
-// FormRunsAsync. Sorted loads are byte-identical for every core count, so
-// the emitted stripes and operation counts never depend on cores.
-func FormRunsCores[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load int, async bool, cores int) ([]*Run, error) {
-	return formRuns[R](sys, file, load, async, cores)
-}
-
-func formRuns[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load int, async bool, cores int) ([]*Run, error) {
+// with full parallelism, sorted one load at a time across up to cores
+// goroutines (pmerge.Sort), and each load is written out as a run in
+// logical blocks — written behind the next load's sort when async. Sorted
+// loads are byte-identical for every core count, so the emitted stripes
+// and operation counts depend on neither cores nor async.
+func FormRuns[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load int, async bool, cores int) ([]*Run, error) {
 	if load < 1 {
 		return nil, fmt.Errorf("dsm: load %d", load)
 	}
@@ -491,137 +436,44 @@ func formRuns[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile,
 	}
 }
 
-// Sort externally sorts the striped input file with DSM: memory-load run
-// formation with loads of 'load' records, then passes of r-way merges. It
-// returns the final run.
-func Sort[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load, r int) (*Run, SortStats, error) {
-	return sortFile[R](sys, file, load, r, false, 1)
-}
-
-// SortAsync is Sort with overlapped I/O throughout: run formation writes
-// behind the in-memory sorts, and every merge prefetches input stripes and
-// writes output behind the merge. Output and statistics are identical to
-// Sort's.
-func SortAsync[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load, r int) (*Run, SortStats, error) {
-	return sortFile[R](sys, file, load, r, true, 1)
-}
-
-// SortCores is Sort/SortAsync with run-formation loads sorted across up
-// to cores goroutines. Output and statistics are identical to Sort's for
-// every core count.
-func SortCores[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load, r int, async bool, cores int) (*Run, SortStats, error) {
-	return sortFile[R](sys, file, load, r, async, cores)
-}
-
-func sortFile[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load, r int, async bool, cores int) (*Run, SortStats, error) {
-	if r < 2 {
-		return nil, SortStats{}, fmt.Errorf("dsm: merge order %d, need >= 2", r)
-	}
-	var stats SortStats
-	before := sys.Stats()
-	runs, err := formRuns[R](sys, file, load, async, cores)
-	if err != nil {
-		return nil, stats, err
-	}
-	afterForm := sys.Stats()
-	stats.RunFormationReads = afterForm.ReadOps - before.ReadOps
-	stats.RunFormationWrites = afterForm.WriteOps - before.WriteOps
-	stats.InitialRuns = len(runs)
-	if len(runs) == 0 {
-		// Empty input: return an empty run.
-		out, err := NewWriter[R](sys, 0).Finish()
-		return out, stats, err
-	}
-	final, ms, _, err := MergeAll[R](sys, runs, r, len(runs), MergeAllOpts{Async: async})
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.MergePasses = ms.MergePasses
-	stats.Merges = ms.Merges
-	stats.MergeReadOps = ms.MergeReadOps
-	stats.MergeWriteOps = ms.MergeWriteOps
-	return final, stats, nil
-}
-
-// PassFunc is the checkpoint hook of MergeAll: invoked after each
-// completed merge pass (1-based within the call) with the surviving runs
-// and next sequence number, before the pass's input runs are freed.
-type PassFunc func(pass int, survivors []*Run, nextSeq int) error
-
 // MergeAllOpts selects MergeAll's execution mode.
 type MergeAllOpts struct {
-	Async     bool
-	AfterPass PassFunc
+	Async bool
+	// AfterPass is the checkpoint hook (runio.PassFunc): each pass's
+	// inputs are freed only after it returns.
+	AfterPass runio.PassFunc[*Run]
 }
 
 // MergeAll repeatedly merges runs, r at a time, until one remains — the
-// merge half of a DSM sort, exposed separately so a checkpointed sort can
-// resume it over runs reconstructed from a manifest. When AfterPass is
-// installed, each pass's inputs are freed only after the hook returns (so
-// a persisted manifest always names live runs); otherwise frees follow
-// each merge immediately.
+// merge half of a DSM sort, run by the same pass driver as SRM's
+// (runio.MergePasses). It starts numbering output runs at seqStart, so a
+// checkpointed sort can resume it over runs reconstructed from a
+// manifest. The merges of a pass run serially: Merge accounts its
+// operations by differencing the system's counters.
 func MergeAll[R record.KernelRecord](sys *pdisk.System, runs []*Run, r, seqStart int, opts MergeAllOpts) (*Run, SortStats, int, error) {
-	if r < 2 {
-		return nil, SortStats{}, seqStart, fmt.Errorf("dsm: merge order %d, need >= 2", r)
-	}
-	if len(runs) == 0 {
-		return nil, SortStats{}, seqStart, fmt.Errorf("dsm: no runs to merge")
-	}
 	var stats SortStats
-	seq := seqStart
-	for len(runs) > 1 {
-		stats.MergePasses++
-		next := make([]*Run, 0, (len(runs)+r-1)/r)
-		var deferred []*Run
-		for off := 0; off < len(runs); off += r {
-			end := off + r
-			if end > len(runs) {
-				end = len(runs)
-			}
-			group := runs[off:end]
-			if len(group) == 1 {
-				next = append(next, group[0])
-				continue
-			}
-			merged, ms, err := mergeRuns[R](sys, group, seq, opts.Async)
-			if err != nil {
-				return nil, stats, seq, err
-			}
-			seq++
+	final, passes, seq, err := runio.MergePasses(runs, seqStart, runio.PassOpts[*Run, MergeStats]{
+		R:         r,
+		AfterPass: opts.AfterPass,
+		Merge: func(group []*Run, seq, _ int) (*Run, MergeStats, error) {
+			return Merge[R](sys, group, seq, opts.Async)
+		},
+		Free: func(run *Run) error { return Free(sys, run) },
+		Add: func(ms MergeStats) {
 			stats.Merges++
 			stats.MergeReadOps += ms.ReadOps
 			stats.MergeWriteOps += ms.WriteOps
-			if opts.AfterPass != nil {
-				deferred = append(deferred, group...)
-			} else {
-				for _, in := range group {
-					if err := Free(sys, in); err != nil {
-						return nil, stats, seq, err
-					}
-				}
-			}
-			next = append(next, merged)
-		}
-		if opts.AfterPass != nil {
-			if err := opts.AfterPass(stats.MergePasses, next, seq); err != nil {
-				return nil, stats, seq, err
-			}
-			for _, in := range deferred {
-				if err := Free(sys, in); err != nil {
-					return nil, stats, seq, err
-				}
-			}
-		}
-		runs = next
-	}
-	return runs[0], stats, seq, nil
+		},
+	})
+	stats.MergePasses = passes
+	return final, stats, seq, err
 }
 
 // ReadAll reads a DSM run back (one logical block per operation) — a
 // verification helper.
 func ReadAll[R record.KernelRecord](sys *pdisk.System, r *Run) ([]R, error) {
 	var out []R
-	err := Stream(sys, r, func(rec R) error {
+	err := Stream(sys, r, false, func(rec R) error {
 		out = append(out, rec)
 		return nil
 	})
@@ -629,27 +481,11 @@ func ReadAll[R record.KernelRecord](sys *pdisk.System, r *Run) ([]R, error) {
 }
 
 // Stream reads a DSM run back one logical block at a time, invoking fn on
-// every record without materialising the run.
-func Stream[R record.KernelRecord](sys *pdisk.System, r *Run, fn func(R) error) error {
-	for s := 0; s < r.NumStripes(); s++ {
-		recs, err := readStripe[R](sys, r, s)
-		if err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			if err := fn(rec); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// StreamAsync is Stream with single-stripe readahead: logical block s+1 is
-// in flight while fn consumes block s. The operation count is identical to
-// Stream's.
-func StreamAsync[R record.KernelRecord](sys *pdisk.System, r *Run, fn func(R) error) error {
-	p := &stripePrefetcher[R]{sys: sys, run: r}
+// every record without materialising the run. With async, logical block
+// s+1 is in flight while fn consumes block s; the operation count is the
+// same either way.
+func Stream[R record.KernelRecord](sys *pdisk.System, r *Run, async bool, fn func(R) error) error {
+	p := &stripeReader[R]{sys: sys, run: r, async: async}
 	defer p.drain()
 	for s := 0; s < r.NumStripes(); s++ {
 		recs, err := p.fetch()

@@ -18,6 +18,39 @@ func newSys(t testing.TB, d, b int) *pdisk.System {
 	return sys
 }
 
+// fileSort is what sortFile reports: the merge-pass statistics plus the
+// run-formation pass.
+type fileSort struct {
+	SortStats
+	InitialRuns        int
+	RunFormationReads  int64
+	RunFormationWrites int64
+}
+
+// sortFile is a whole DSM sort as the root package runs one without hooks:
+// memory-load run formation with loads of 'load' records, then passes of
+// r-way merges from sequence number len(runs).
+func sortFile[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load, r int, async bool) (*Run, fileSort, error) {
+	before := sys.Stats()
+	runs, err := FormRuns[R](sys, file, load, async, 1)
+	if err != nil {
+		return nil, fileSort{}, err
+	}
+	formed := sys.Stats()
+	st := fileSort{
+		InitialRuns:        len(runs),
+		RunFormationReads:  formed.ReadOps - before.ReadOps,
+		RunFormationWrites: formed.WriteOps - before.WriteOps,
+	}
+	if len(runs) == 0 {
+		out, err := NewWriter[R](sys, 0).Finish()
+		return out, st, err
+	}
+	final, ms, _, err := MergeAll[R](sys, runs, r, len(runs), MergeAllOpts{Async: async})
+	st.SortStats = ms
+	return final, st, err
+}
+
 func TestMergeOrderFormula(t *testing.T) {
 	// M/B = 2kD + 4D + kD^2/B with k=10, D=4, B=1000:
 	// M/B = 80 + 16 + 0 (kD^2/B = 160/1000 rounds into the blocks) — use
@@ -85,7 +118,7 @@ func TestMergeCorrectAndCounted(t *testing.T) {
 		runs = append(runs, run)
 		totalStripes += run.NumStripes()
 	}
-	out, ms, err := Merge[record.Record](sys, runs, 99)
+	out, ms, err := Merge[record.Record](sys, runs, 99, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +148,7 @@ func TestSortEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.ResetStats()
-	out, stats, err := Sort[record.Record](sys, file, 100, 4)
+	out, stats, err := sortFile[record.Record](sys, file, 100, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +179,7 @@ func TestSortEmptyAndTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := Sort[record.Record](sys, file, 10, 2)
+	out, _, err := sortFile[record.Record](sys, file, 10, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +193,7 @@ func TestSortEmptyAndTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, stats, err := Sort[record.Record](sys, file, 10, 2)
+	out, stats, err := sortFile[record.Record](sys, file, 10, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +224,7 @@ func TestPropertySortCorrect(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, _, err := Sort[record.Record](sys, file, 50, 3)
+		out, _, err := sortFile[record.Record](sys, file, 50, 3, false)
 		if err != nil {
 			return false
 		}

@@ -63,9 +63,13 @@ type Spec struct {
 	Memory int `json:"memory,omitempty"`
 	// Seed fixes the randomized layout; 0 inherits the server default.
 	Seed int64 `json:"seed,omitempty"`
-	// Async enables the overlapped-I/O pipeline with Workers per disk.
-	Async   bool `json:"async,omitempty"`
-	Workers int  `json:"workers,omitempty"`
+	// Async enables the overlapped-I/O pipeline (library Config.Async).
+	Async bool `json:"async,omitempty"`
+	// Workers is how many merges of one pass run at once (library
+	// Config.Workers; -1 means GOMAXPROCS, SRM variants only). Each
+	// concurrent merge holds its own M records of buffers, so admission
+	// reserves Workers·M memory and at least Workers cores.
+	Workers int `json:"workers,omitempty"`
 	// Cores is how many goroutines the job's single sort steps spread
 	// comparison work over (library Config.Cores). It is reserved from
 	// the server's core budget alongside memory; 0 inherits the server
@@ -103,10 +107,26 @@ func (s Spec) withDefaults(d Spec) Spec {
 	if s.Codec == "" {
 		s.Codec = d.Codec
 	}
-	if !s.Async && d.Async {
-		s.Async, s.Workers = d.Async, d.Workers
+	if !s.Async {
+		s.Async = d.Async
+	}
+	if s.Workers == 0 {
+		s.Workers = d.Workers
 	}
 	return s
+}
+
+// mergeWorkers resolves Workers the way the library does: the SRM
+// variants run that many merges of a pass at once (negative means
+// GOMAXPROCS), every other value and algorithm one.
+func (s Spec) mergeWorkers() int {
+	if alg, _ := parseAlgorithm(s.Algorithm); alg != srmsort.SRM && alg != srmsort.SRMDeterministic {
+		return 1
+	}
+	if s.Workers < 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return max(s.Workers, 1)
 }
 
 // parseAlgorithm maps a Spec's algorithm name to the library constant.
@@ -481,7 +501,9 @@ func (m *Manager) Submit(spec Spec, input io.Reader) (*Job, error) {
 }
 
 // validate checks a defaulted spec against the server's limits and
-// returns the working memory and cores it will reserve.
+// returns the working memory and cores it will reserve: M records and
+// Cores cores for one merge at a time, w·M records and at least w cores
+// for a job that runs w merges of a pass at once.
 func (m *Manager) validate(spec Spec) (memNeed, coreNeed int, err error) {
 	cfg, err := spec.Config()
 	if err != nil {
@@ -490,25 +512,26 @@ func (m *Manager) validate(spec Spec) (memNeed, coreNeed int, err error) {
 	if _, err := record.CodecByName(spec.Codec); err != nil {
 		return 0, 0, fmt.Errorf("jobs: %w", err)
 	}
-	_, memNeed, err = cfg.MergeOrder()
+	_, mem, err := cfg.MergeOrder()
 	if err != nil {
 		return 0, 0, err
 	}
 	if m.gate != nil && spec.D > m.gate.D() {
 		return 0, 0, fmt.Errorf("jobs: d=%d exceeds the server's %d shared disks", spec.D, m.gate.D())
 	}
-	if memNeed > m.budget.Total() {
-		return 0, 0, fmt.Errorf("%w: job needs M=%d records, server budget is %d",
-			ErrOverBudget, memNeed, m.budget.Total())
+	w := spec.mergeWorkers()
+	if memNeed = w * mem; memNeed > m.budget.Total() {
+		return 0, 0, fmt.Errorf("%w: job needs %d records (M=%d for each of %d concurrent merges), server budget is %d",
+			ErrOverBudget, memNeed, mem, w, m.budget.Total())
 	}
 	if spec.Cores < 1 {
 		return 0, 0, fmt.Errorf("jobs: cores = %d, need >= 1 (0 inherits the server default)", spec.Cores)
 	}
-	if spec.Cores > m.budget.CoresTotal() {
+	if coreNeed = max(spec.Cores, w); coreNeed > m.budget.CoresTotal() {
 		return 0, 0, fmt.Errorf("%w: job needs %d cores, server budget is %d",
-			ErrOverBudget, spec.Cores, m.budget.CoresTotal())
+			ErrOverBudget, coreNeed, m.budget.CoresTotal())
 	}
-	return memNeed, spec.Cores, nil
+	return memNeed, coreNeed, nil
 }
 
 // ingest drains the job's input. Durable layout per job directory:
@@ -613,8 +636,9 @@ type specFile struct {
 	MaxRecordBytes int `json:"max_record_bytes,omitempty"`
 }
 
-// writeSpec commits the job's spec atomically (tmp + rename), after the
-// input is durable — the submit commit point.
+// writeSpec commits the job's spec atomically and durably
+// (pdisk.CommitRename), after the input is durable — the submit commit
+// point.
 func (m *Manager) writeSpec(j *Job) error {
 	data, err := json.MarshalIndent(specFile{ID: j.id, Spec: j.spec, Records: j.records, MaxRecordBytes: j.maxRecBytes}, "", "  ")
 	if err != nil {
@@ -624,7 +648,7 @@ func (m *Manager) writeSpec(j *Job) error {
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(j.dir, "spec.json"))
+	return pdisk.CommitRename(tmp, filepath.Join(j.dir, "spec.json"))
 }
 
 func (m *Manager) register(j *Job) {
@@ -932,9 +956,6 @@ func (m *Manager) attempt(j *Job, cfg srmsort.Config, resume bool) (srmsort.Stat
 	} else {
 		stats, err = srmsort.SortStream(in, out, cfg)
 	}
-	if err == nil {
-		err = out.Sync()
-	}
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}
@@ -943,7 +964,7 @@ func (m *Manager) attempt(j *Job, cfg srmsort.Config, resume bool) (srmsort.Stat
 	}
 	// The rename is the job's commit point: output.rec either exists
 	// complete or not at all.
-	if err := os.Rename(tmp, filepath.Join(j.dir, "output.rec")); err != nil {
+	if err := pdisk.CommitRename(tmp, filepath.Join(j.dir, "output.rec")); err != nil {
 		return srmsort.Stats{}, err
 	}
 	return stats, nil

@@ -638,3 +638,91 @@ func TestBudgetCores(t *testing.T) {
 		t.Fatalf("after releases: mem %d cores %d in use, want 0/0", got, c)
 	}
 }
+
+// TestSpecWithDefaults: every field a tenant leaves zero is inherited
+// from the server defaults on its own; Workers in particular neither
+// rides on Async nor overwrites an explicit tenant value.
+func TestSpecWithDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		spec, defaults Spec
+		wantAsync      bool
+		wantWorkers    int
+	}{
+		{"all zero", Spec{}, Spec{}, false, 0},
+		{"server workers, no async", Spec{}, Spec{Workers: 4}, false, 4},
+		{"server async and workers", Spec{}, Spec{Async: true, Workers: 4}, true, 4},
+		{"server async only", Spec{}, Spec{Async: true}, true, 0},
+		{"tenant workers, server async", Spec{Workers: 2}, Spec{Async: true, Workers: 4}, true, 2},
+		{"tenant workers, server sync", Spec{Workers: 2}, Spec{Workers: 4}, false, 2},
+		{"tenant async, server workers", Spec{Async: true}, Spec{Workers: 3}, true, 3},
+		{"tenant GOMAXPROCS workers", Spec{Workers: -1}, Spec{Workers: 4}, false, -1},
+		{"tenant async and workers", Spec{Async: true, Workers: 1}, Spec{Workers: 4}, true, 1},
+	} {
+		got := tc.spec.withDefaults(tc.defaults)
+		if got.Async != tc.wantAsync || got.Workers != tc.wantWorkers {
+			t.Errorf("%s: async=%v workers=%d, want async=%v workers=%d",
+				tc.name, got.Async, got.Workers, tc.wantAsync, tc.wantWorkers)
+		}
+	}
+}
+
+// TestAdmissionCountsWorkers: a job running w merges of a pass at once
+// holds w merges' buffers, so it reserves w·M memory and at least w
+// cores; a workers=4 job cannot fit a 3·M budget.
+func TestAdmissionCountsWorkers(t *testing.T) {
+	cfg, _ := testSpec(1).Config()
+	_, mNeed, err := cfg.MergeOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(Options{MemoryBudget: 3 * mNeed, CoreBudget: 8, Defaults: testSpec(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Kill()
+	if _, err := m.Submit(Spec{Workers: 4}, bytes.NewReader(nil)); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("workers=4 against a 3·M budget: err = %v, want ErrOverBudget", err)
+	}
+	for _, tc := range []struct {
+		spec           Spec
+		memNeed, cores int
+	}{
+		{Spec{Workers: 3}, 3 * mNeed, 3},
+		{Spec{Workers: 1, Cores: 2}, mNeed, 2},
+		{Spec{Algorithm: "dsm", Workers: 4}, 0, 1}, // DSM merges serially
+	} {
+		spec := tc.spec.withDefaults(m.opts.Defaults)
+		memNeed, cores, err := m.validate(spec)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.spec, err)
+		}
+		if tc.memNeed == 0 {
+			c, _ := spec.Config()
+			_, tc.memNeed, _ = c.MergeOrder()
+		}
+		if memNeed != tc.memNeed || cores != tc.cores {
+			t.Fatalf("%+v: reserves %d records and %d cores, want %d and %d",
+				tc.spec, memNeed, cores, tc.memNeed, tc.cores)
+		}
+	}
+	in, want := genInput(t, testSpec(1), 2000, 9)
+	j, err := m.Submit(Spec{Workers: 3}, bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j); st.State != StateDone {
+		t.Fatalf("workers=3 job: state %s (%s)", st.State, st.Error)
+	}
+	rc, _, err := m.Result(j.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if got, _ := io.ReadAll(rc); !bytes.Equal(got, want) {
+		t.Fatal("workers=3 job: wrong output")
+	}
+	if _, _, peak := m.Budget(); peak != 3*mNeed {
+		t.Fatalf("memory peak %d, want 3·M = %d", peak, 3*mNeed)
+	}
+}

@@ -1,6 +1,9 @@
 package pdisk
 
 import (
+	"errors"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -131,5 +134,67 @@ func TestFileStoreCloseKeepsFilesRemoveDeletes(t *testing.T) {
 	defer re2.Close()
 	if u := re2.Usage(); u.Blocks != 0 {
 		t.Fatalf("store not empty after Remove: %+v", u)
+	}
+}
+
+// recordCommitSteps replaces CommitRename's filesystem steps with
+// recording wrappers around the real ones for the rest of the test.
+func recordCommitSteps(t *testing.T) *[]string {
+	t.Helper()
+	var steps []string
+	sync, rename := syncPath, renamePath
+	syncPath = func(path string) error {
+		steps = append(steps, "sync "+filepath.Base(path))
+		return sync(path)
+	}
+	renamePath = func(from, to string) error {
+		steps = append(steps, "rename "+filepath.Base(from)+" "+filepath.Base(to))
+		return rename(from, to)
+	}
+	t.Cleanup(func() { syncPath, renamePath = sync, rename })
+	return &steps
+}
+
+// A commit by rename is durable only if the file is fsynced before the
+// rename and its directory after it. SaveManifest commits that way, and
+// a sync failure stops the commit before the rename.
+func TestCommitRenameOrder(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	steps := recordCommitSteps(t)
+	if err := fs.SaveManifest([]byte(`{"v":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"sync manifest.json.tmp",
+		"rename manifest.json.tmp manifest.json",
+		"sync " + filepath.Base(dir),
+	}
+	if !slices.Equal(*steps, want) {
+		t.Fatalf("commit steps %q, want %q", *steps, want)
+	}
+	data, ok, err := fs.LoadManifest()
+	if err != nil || !ok || string(data) != `{"v":1}` {
+		t.Fatalf("manifest after commit: %q %v %v", data, ok, err)
+	}
+
+	*steps = nil
+	boom := errors.New("fsync failed")
+	syncPath = func(path string) error {
+		*steps = append(*steps, "sync "+filepath.Base(path))
+		return boom
+	}
+	if err := fs.SaveManifest([]byte(`{"v":2}`)); !errors.Is(err, boom) {
+		t.Fatalf("SaveManifest with a failing fsync: %v, want it surfaced", err)
+	}
+	if !slices.Equal(*steps, want[:1]) {
+		t.Fatalf("steps after a failed fsync %q, want %q", *steps, want[:1])
+	}
+	if data, _, _ := fs.LoadManifest(); string(data) != `{"v":1}` {
+		t.Fatalf("failed commit replaced the manifest: %q", data)
 	}
 }

@@ -575,9 +575,10 @@ func (f *FileStore) Scrub() (ScrubReport, error) {
 func (f *FileStore) manifestPath() string    { return filepath.Join(f.dir, "manifest.json") }
 func (f *FileStore) manifestTmpPath() string { return filepath.Join(f.dir, "manifest.json.tmp") }
 
-// SaveManifest implements ManifestStore: write-to-temp, fsync, rename —
-// after any crash the manifest file is either the old state or the new
-// one, never a torn mix.
+// SaveManifest implements ManifestStore: write to a temporary file, then
+// CommitRename it into place — after any crash the manifest file is
+// either the old state or the new one, never a torn mix, and a completed
+// save survives power loss.
 func (f *FileStore) SaveManifest(data []byte) error {
 	f.mu.Lock()
 	closed := f.closed
@@ -585,22 +586,42 @@ func (f *FileStore) SaveManifest(data []byte) error {
 	if closed {
 		return fmt.Errorf("%w: FileStore used after Close", ErrInvalid)
 	}
-	tmp, err := os.OpenFile(f.manifestTmpPath(), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := os.WriteFile(f.manifestTmpPath(), data, 0o644); err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	return CommitRename(f.manifestTmpPath(), f.manifestPath())
+}
+
+// The filesystem steps of CommitRename, replaceable by tests that record
+// their order.
+var (
+	syncPath = func(path string) error {
+		fh, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		err = fh.Sync()
+		if cerr := fh.Close(); err == nil {
+			err = cerr
+		}
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
+	renamePath = os.Rename
+)
+
+// CommitRename makes a fully written file durable under its final name:
+// fsync the file, rename it over dst, then fsync dst's directory. Without
+// the first sync a crash can expose dst with missing data; without the
+// last, the rename itself may not survive one. Every commit point that
+// publishes a file by rename goes through it.
+func CommitRename(tmp, dst string) error {
+	if err := syncPath(tmp); err != nil {
 		return err
 	}
-	if err := tmp.Close(); err != nil {
+	if err := renamePath(tmp, dst); err != nil {
 		return err
 	}
-	return os.Rename(f.manifestTmpPath(), f.manifestPath())
+	return syncPath(filepath.Dir(dst))
 }
 
 // LoadManifest implements ManifestStore.

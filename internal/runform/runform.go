@@ -194,18 +194,13 @@ type Result struct {
 	NextSeq int
 }
 
-// MemoryLoad forms initial runs by sorting 'load' records at a time. The
-// paper's default is load = M/2.
-func MemoryLoad[R record.KernelRecord](sys *pdisk.System, file *InputFile, load int, placement runio.Placement, seqStart int) (Result, error) {
-	return MemoryLoadCores[R](sys, file, load, placement, seqStart, 1)
-}
-
-// MemoryLoadCores is MemoryLoad with each load sorted across up to cores
+// MemoryLoad forms initial runs by sorting 'load' records at a time (the
+// paper's default is load = M/2), each load across up to cores
 // goroutines (pmerge.Sort: per-core chunks + merge-back). The sorted
 // loads — and therefore the written runs, and the I/O schedule — are
 // byte-identical for every core count; cores <= 1 is exactly the serial
 // record.SortRecords path.
-func MemoryLoadCores[R record.KernelRecord](sys *pdisk.System, file *InputFile, load int, placement runio.Placement, seqStart, cores int) (Result, error) {
+func MemoryLoad[R record.KernelRecord](sys *pdisk.System, file *InputFile, load int, placement runio.Placement, seqStart, cores int) (Result, error) {
 	if load < 1 {
 		return Result{}, fmt.Errorf("runform: load %d", load)
 	}
@@ -241,21 +236,17 @@ func MemoryLoadCores[R record.KernelRecord](sys *pdisk.System, file *InputFile, 
 // current run are tagged for the next run; when the current generation
 // drains, a new run begins. Random inputs yield runs of expected length
 // about 2*heapSize.
-func ReplacementSelection[R record.KernelRecord](sys *pdisk.System, file *InputFile, heapSize int, placement runio.Placement, seqStart int) (Result, error) {
-	return ReplacementSelectionCores[R](sys, file, heapSize, placement, seqStart, 1)
-}
-
-// ReplacementSelectionCores is ReplacementSelection with the bulk of the
-// comparison work parallelized: each generation's resident records are
-// sorted up front across up to cores goroutines (pmerge.Sort), and the
-// run is then emitted by merging two sources — the sorted generation
-// arena (a cursor) and a small heap of records admitted from the input
-// during emission. Key ties go to the arena, so emission order is fully
-// deterministic and independent of cores; the classical admission rule
-// (an input record joins the current run iff its key is >= the last key
-// emitted) is unchanged, so run boundaries, lengths and the I/O schedule
-// match the serial algorithm exactly.
-func ReplacementSelectionCores[R record.KernelRecord](sys *pdisk.System, file *InputFile, heapSize int, placement runio.Placement, seqStart, cores int) (Result, error) {
+//
+// The bulk of the comparison work is parallelized: each generation's
+// resident records are sorted up front across up to cores goroutines
+// (pmerge.Sort), and the run is then emitted by merging two sources —
+// the sorted generation arena (a cursor) and a small heap of records
+// admitted from the input during emission. Key ties go to the arena, so
+// emission order is fully deterministic and independent of cores; the
+// classical admission rule (an input record joins the current run iff its
+// key is >= the last key emitted) is unchanged, so run boundaries, lengths
+// and the I/O schedule match the serial algorithm exactly.
+func ReplacementSelection[R record.KernelRecord](sys *pdisk.System, file *InputFile, heapSize int, placement runio.Placement, seqStart, cores int) (Result, error) {
 	if heapSize < 1 {
 		return Result{}, fmt.Errorf("runform: heap size %d", heapSize)
 	}

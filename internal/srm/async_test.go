@@ -41,7 +41,7 @@ func mergeBothWays(t *testing.T, d, b int, runs [][]record.Record, placement fun
 
 	sys1, descs1 := prepare()
 	defer sys1.Close()
-	out1, ms1, err := Merge[record.Record](sys1, descs1, r, 1000, 0)
+	out1, ms1, err := Merge[record.Record](sys1, descs1, r, 1000, 0, MergeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func mergeBothWays(t *testing.T, d, b int, runs [][]record.Record, placement fun
 
 	sys2, descs2 := prepare()
 	defer sys2.Close()
-	out2, ms2, err := MergeAsync[record.Record](sys2, descs2, r, 1000, 0)
+	out2, ms2, err := Merge[record.Record](sys2, descs2, r, 1000, 0, MergeOpts{Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func mergeBothWays(t *testing.T, d, b int, runs [][]record.Record, placement fun
 	return rec1, rec2, ms1, ms2, sys1.Stats().Ops(), sys2.Stats().Ops()
 }
 
-// MergeAsync must be indistinguishable from Merge: identical output records
+// An async Merge must be indistinguishable from a synchronous one: identical output records
 // (values included, not just keys) and identical statistics in every field,
 // across disk counts, placements — including the adversarial fixed layout —
 // and duplicate-heavy inputs.
@@ -130,7 +130,7 @@ func TestMergeAsyncEquivalence(t *testing.T) {
 	}
 }
 
-// Multi-pass sorting through SortRunsAsync must match SortRuns run for run.
+// Multi-pass async sorting must match the synchronous SortRuns run for run.
 func TestSortRunsAsyncEquivalence(t *testing.T) {
 	const d, b = 4, 4
 	g := record.NewGenerator(99)
@@ -141,16 +141,7 @@ func TestSortRunsAsyncEquivalence(t *testing.T) {
 		sys := newSys(t, d, b)
 		defer sys.Close()
 		descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: d})
-		var (
-			final *runio.Run
-			st    SortStats
-			err   error
-		)
-		if async {
-			final, st, _, err = SortRunsAsync[record.Record](sys, descs, 4, runio.StaggeredPlacement{D: d}, len(runs))
-		} else {
-			final, st, _, err = SortRuns[record.Record](sys, descs, 4, runio.StaggeredPlacement{D: d}, len(runs))
-		}
+		final, st, _, err := SortRuns[record.Record](sys, descs, 4, runio.StaggeredPlacement{D: d}, len(runs), SortOpts{Async: async})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +182,7 @@ func TestSortRunsParallelAsyncEquivalence(t *testing.T) {
 	baseSys := newSys(t, d, b)
 	defer baseSys.Close()
 	baseDescs := writeRuns(t, baseSys, runs, runio.StaggeredPlacement{D: d})
-	baseRun, baseStats, _, err := SortRuns[record.Record](baseSys, baseDescs, 4, runio.StaggeredPlacement{D: d}, len(runs))
+	baseRun, baseStats, _, err := SortRuns[record.Record](baseSys, baseDescs, 4, runio.StaggeredPlacement{D: d}, len(runs), SortOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +195,7 @@ func TestSortRunsParallelAsyncEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 2, -1} {
 		sys := newSys(t, d, b)
 		descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: d})
-		final, stats, _, err := SortRunsParallelAsync[record.Record](sys, descs, 4, runio.StaggeredPlacement{D: d}, len(runs), workers)
+		final, stats, _, err := SortRuns[record.Record](sys, descs, 4, runio.StaggeredPlacement{D: d}, len(runs), SortOpts{Async: true, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +221,7 @@ func TestSortRunsParallelAsyncEquivalence(t *testing.T) {
 	}
 }
 
-// Injected device faults mid-pipeline must surface from MergeAsync as clean
+// Injected device faults mid-pipeline must surface from an async Merge as clean
 // errors — no panic, no deadlock, no goroutine leak — wherever in the
 // schedule they strike.
 func TestMergeAsyncInjectedFaults(t *testing.T) {
@@ -251,7 +242,7 @@ func TestMergeAsyncInjectedFaults(t *testing.T) {
 		defer sys.Close()
 		descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: 4})
 		setup := sys.Stats()
-		if _, _, err := MergeAsync[record.Record](sys, descs, 10, 1000, 0); err != nil {
+		if _, _, err := Merge[record.Record](sys, descs, 10, 1000, 0, MergeOpts{Async: true}); err != nil {
 			t.Fatal(err)
 		}
 		total := sys.Stats()
@@ -269,7 +260,7 @@ func TestMergeAsyncInjectedFaults(t *testing.T) {
 		defer sys.Close()
 		descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: 4})
 		fs.Configure(pdisk.FaultConfig{FailReadAt: failReadAt, FailWriteAt: failWriteAt})
-		_, _, err = MergeAsync[record.Record](sys, descs, 10, 1000, 0)
+		_, _, err = Merge[record.Record](sys, descs, 10, 1000, 0, MergeOpts{Async: true})
 		return err
 	}
 
@@ -307,7 +298,7 @@ func TestSortRunsAsyncFreeFault(t *testing.T) {
 	}
 	descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: 2})
 	fs.Configure(pdisk.FaultConfig{FailFreeAt: 1})
-	_, _, _, err = SortRunsAsync[record.Record](sys, descs, 4, runio.StaggeredPlacement{D: 2}, len(runs))
+	_, _, _, err = SortRuns[record.Record](sys, descs, 4, runio.StaggeredPlacement{D: 2}, len(runs), SortOpts{Async: true})
 	if !errors.Is(err, pdisk.ErrInjected) {
 		t.Fatalf("free fault: %v, want ErrInjected", err)
 	}
@@ -327,7 +318,7 @@ func TestMergeAsyncNoGoroutineLeak(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		sys := newSys(t, 4, 4)
 		descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: 4})
-		out, _, err := MergeAsync[record.Record](sys, descs, 6, 1000, 0)
+		out, _, err := Merge[record.Record](sys, descs, 6, 1000, 0, MergeOpts{Async: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,15 +36,15 @@ func TestSortRunsBackendEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.ResetStats()
-		formed, err := runform.MemoryLoad[record.Record](sys, file, 100, runio.StaggeredPlacement{D: d}, 0)
+		formed, err := runform.MemoryLoad[record.Record](sys, file, 100, runio.StaggeredPlacement{D: d}, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var final *runio.Run
 		if async {
-			final, _, _, err = SortRunsAsync[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: d}, formed.NextSeq)
+			final, _, _, err = SortRuns[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: d}, formed.NextSeq, SortOpts{Async: true})
 		} else {
-			final, _, _, err = SortRuns[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: d}, formed.NextSeq)
+			final, _, _, err = SortRuns[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: d}, formed.NextSeq, SortOpts{})
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -40,7 +40,7 @@ func TestFileBackedCrashMidSortReopen(t *testing.T) {
 	// Fail the merge's very first output write: the sort dies before it
 	// frees any source run, so every formed run must still be on disk.
 	fault.Configure(pdisk.FaultConfig{FailWriteAt: written + 1})
-	if _, _, _, err := SortRuns[record.Record](sys, descs, 4, placement, len(runs)); !errors.Is(err, pdisk.ErrInjected) {
+	if _, _, _, err := SortRuns[record.Record](sys, descs, 4, placement, len(runs), SortOpts{}); !errors.Is(err, pdisk.ErrInjected) {
 		t.Fatalf("mid-sort write fault: %v, want ErrInjected", err)
 	}
 	// Crash: abandon sys and both stores without Close.
@@ -74,7 +74,7 @@ func TestFileBackedCrashMidSortReopen(t *testing.T) {
 
 	// The surviving runs are a complete restart point: re-sorting them on
 	// the reopened store must produce the full input, sorted.
-	final, _, _, err := SortRuns[record.Record](sys2, descs, 4, placement, len(runs))
+	final, _, _, err := SortRuns[record.Record](sys2, descs, 4, placement, len(runs), SortOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

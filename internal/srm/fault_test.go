@@ -26,11 +26,11 @@ func TestInjectedFaultsSurfaceAsErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		formed, err := runform.MemoryLoad[record.Record](sys, file, 50, runio.StaggeredPlacement{D: 3}, 0)
+		formed, err := runform.MemoryLoad[record.Record](sys, file, 50, runio.StaggeredPlacement{D: 3}, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := SortRuns[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: 3}, formed.NextSeq); err != nil {
+		if _, _, _, err := SortRuns[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: 3}, formed.NextSeq, SortOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		st := sys.Stats()
@@ -51,11 +51,11 @@ func TestInjectedFaultsSurfaceAsErrors(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		formed, err := runform.MemoryLoad[record.Record](sys, file, 50, runio.StaggeredPlacement{D: 3}, 0)
+		formed, err := runform.MemoryLoad[record.Record](sys, file, 50, runio.StaggeredPlacement{D: 3}, 0, 1)
 		if err != nil {
 			return err
 		}
-		_, _, _, err = SortRuns[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: 3}, formed.NextSeq)
+		_, _, _, err = SortRuns[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: 3}, formed.NextSeq, SortOpts{})
 		return err
 	}
 
@@ -122,11 +122,11 @@ func TestSortUnderStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	formed, err := runform.MemoryLoad[record.Record](sys, file, 50, runio.StaggeredPlacement{D: 4}, 0)
+	formed, err := runform.MemoryLoad[record.Record](sys, file, 50, runio.StaggeredPlacement{D: 4}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, _, _, err := SortRuns[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: 4}, formed.NextSeq)
+	final, _, _, err := SortRuns[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: 4}, formed.NextSeq, SortOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func TestFaultStoreTransparentWhenIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	formed, err := runform.MemoryLoad[record.Record](sys, file, 40, runio.StaggeredPlacement{D: 2}, 0)
+	formed, err := runform.MemoryLoad[record.Record](sys, file, 40, runio.StaggeredPlacement{D: 2}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, _, _, err := SortRuns[record.Record](sys, formed.Runs, 3, runio.StaggeredPlacement{D: 2}, formed.NextSeq)
+	final, _, _, err := SortRuns[record.Record](sys, formed.Runs, 3, runio.StaggeredPlacement{D: 2}, formed.NextSeq, SortOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

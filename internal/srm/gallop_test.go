@@ -40,14 +40,7 @@ func mergeAtWidth[R record.KernelRecord](t *testing.T, d, b int, runs [][]record
 		}
 		descs[i] = run
 	}
-	var out *runio.Run
-	var ms MergeStats
-	var err error
-	if async {
-		out, ms, err = MergeAsync[R](sys, descs, r, 1000, 0)
-	} else {
-		out, ms, err = MergeTraced[R](sys, descs, r, 1000, 0, sink)
-	}
+	out, ms, err := Merge[R](sys, descs, r, 1000, 0, MergeOpts{Async: async, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +212,7 @@ func TestMergeGallopSwitchEquivalence(t *testing.T) {
 }
 
 // TestSortRunsOptsModes drives the full multi-pass sort through every
-// (Async, Workers) combination of SortRunsOpts and requires run-for-run
+// (Async, Workers) combination of SortOpts and requires run-for-run
 // identity with the serial, synchronous baseline.
 func TestSortRunsOptsModes(t *testing.T) {
 	const d, b, r = 4, 8, 4
@@ -231,7 +224,7 @@ func TestSortRunsOptsModes(t *testing.T) {
 		sys := newSys(t, d, b)
 		defer sys.Close()
 		descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: d})
-		out, stats, _, err := SortRunsOpts[record.Record](sys, descs, r, runio.StaggeredPlacement{D: d}, len(descs), opts)
+		out, stats, _, err := SortRuns[record.Record](sys, descs, r, runio.StaggeredPlacement{D: d}, len(descs), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,6 +92,15 @@ type merger[R record.KernelRecord] struct {
 
 	sink trace.Sink // nil when tracing is off
 	seq  int
+
+	// async issues ParReads asynchronously and consumes records while
+	// they are in flight. pendingRun is the run whose leading block such
+	// overlapped consumption depleted but whose block event has not been
+	// processed yet; -1 when none. At most one depletion can be pending
+	// (consumption stops there), and the synchronous schedule never sets
+	// it.
+	async      bool
+	pendingRun int
 }
 
 // emit sends an event to the trace sink, if any.
@@ -153,23 +162,37 @@ func (m *merger[R]) updateHead(h int) {
 	}
 }
 
+// MergeOpts selects how one merge executes. Every choice yields the same
+// output run and MergeStats.
+type MergeOpts struct {
+	// Async overlaps I/O with internal merging: each ParRead is issued
+	// asynchronously and the merge consumes what it safely can while the
+	// read is in flight, and output stripes are written behind the merge
+	// (see async.go for why the schedule is unchanged).
+	Async bool
+	// Sink, when non-nil, receives every parallel read, virtual flush,
+	// depletion, stall and promotion as a trace.Event, in schedule order.
+	// Pass a trace.Checker to verify the paper's scheduling invariants
+	// online, or a trace.Recorder to render the schedule. Tracing is a
+	// synchronous diagnostic: a Sink with Async is an error.
+	Sink trace.Sink
+}
+
 // Merge merges the given runs (at most r of them — r is the merge order the
 // memory was provisioned for) into a single output run written with id
 // outID starting on disk outStartDisk. It returns the output run and the
 // merge statistics. The type argument selects the kernel's record width
 // and must match the representation of the runs' stored blocks (callers
 // instantiate explicitly — nothing in the argument list names R).
-func Merge[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int) (*runio.Run, MergeStats, error) {
-	return MergeTraced[R](sys, runs, r, outID, outStartDisk, nil)
-}
-
-// MergeTraced is Merge with a trace sink attached: every parallel read,
-// virtual flush, depletion, stall and promotion is reported as a
-// trace.Event, in schedule order. Pass a trace.Checker to verify the
-// paper's scheduling invariants online, or a trace.Recorder to render the
-// schedule. A nil sink is plain Merge.
-func MergeTraced[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int, sink trace.Sink) (*runio.Run, MergeStats, error) {
-	m, err := newMerger(sys, runs, r, runio.NewWriter[R](sys, outID, outStartDisk), sink)
+//
+// There is one merge loop. The synchronous schedule is the overlapped one
+// with no overlap window: each ParRead is awaited as soon as it is issued,
+// so no depletion is ever left pending across a read.
+func Merge[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int, opts MergeOpts) (*runio.Run, MergeStats, error) {
+	if opts.Async && opts.Sink != nil {
+		return nil, MergeStats{}, fmt.Errorf("srm: a trace sink needs the synchronous merge")
+	}
+	m, err := newMerger[R](sys, runs, r, outID, outStartDisk, opts)
 	if err != nil {
 		return nil, MergeStats{}, err
 	}
@@ -177,15 +200,25 @@ func MergeTraced[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r,
 		return nil, MergeStats{}, err
 	}
 	for m.exhausted < len(m.runs) {
-		reads, err := m.pumpIO()
+		progress, err := m.pumpIO()
 		if err != nil {
 			return nil, MergeStats{}, err
 		}
-		consumed, err := m.consumeUntilBlockEvent()
-		if err != nil {
-			return nil, MergeStats{}, err
+		if h := m.pendingRun; h >= 0 {
+			// The block event noted during an overlap window is processed
+			// here — the point the synchronous schedule processes it
+			// (after the pump).
+			m.pendingRun = -1
+			m.blockEvent(h)
+			progress++
+		} else {
+			consumed, err := m.consumeUntilBlockEvent()
+			if err != nil {
+				return nil, MergeStats{}, err
+			}
+			progress += consumed
 		}
-		if reads == 0 && consumed == 0 && m.exhausted < len(m.runs) {
+		if progress == 0 && m.exhausted < len(m.runs) {
 			if m.forceRoom() {
 				continue
 			}
@@ -197,9 +230,8 @@ func MergeTraced[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r,
 	return m.finish()
 }
 
-// newMerger validates the merge inputs and assembles the shared state of
-// the sync and async merge loops.
-func newMerger[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, out *runio.Writer[R], sink trace.Sink) (*merger[R], error) {
+// newMerger validates the merge inputs and assembles the merge state.
+func newMerger[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int, opts MergeOpts) (*merger[R], error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("srm: merge of zero runs")
 	}
@@ -213,22 +245,28 @@ func newMerger[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r in
 		}
 		blocks[h] = run.NumBlocks()
 	}
+	out := runio.NewWriter[R]
+	if opts.Async {
+		out = runio.NewWriterAsync[R]
+	}
 	return &merger[R]{
-		sys:       sys,
-		r:         r,
-		d:         sys.D(),
-		runs:      runs,
-		fds:       forecast.New(sys.D(), len(runs)),
-		mem:       membuf.New[R](r, sys.D(), blocks),
-		out:       out,
-		lead:      make([][]R, len(runs)),
-		leadIdx:   make([]int, len(runs)),
-		need:      make([]int, len(runs)),
-		stalled:   make([]bool, len(runs)),
-		active:    ltree.NewRetired(len(runs)),
-		stallHeap: iheap.New(len(runs)),
-		flushed:   make(map[[2]int]bool),
-		sink:      sink,
+		sys:        sys,
+		r:          r,
+		d:          sys.D(),
+		runs:       runs,
+		fds:        forecast.New(sys.D(), len(runs)),
+		mem:        membuf.New[R](r, sys.D(), blocks),
+		out:        out(sys, outID, outStartDisk),
+		lead:       make([][]R, len(runs)),
+		leadIdx:    make([]int, len(runs)),
+		need:       make([]int, len(runs)),
+		stalled:    make([]bool, len(runs)),
+		active:     ltree.NewRetired(len(runs)),
+		stallHeap:  iheap.New(len(runs)),
+		flushed:    make(map[[2]int]bool),
+		sink:       opts.Sink,
+		async:      opts.Async,
+		pendingRun: -1,
 	}, nil
 }
 
@@ -246,59 +284,141 @@ func (m *merger[R]) finish() (*runio.Run, MergeStats, error) {
 
 // loadInitialBlocks is Step 1 of the algorithm: read block 0 of every run
 // into M_L with parallel reads (I_0 operations), and seed the FDS from the
-// D forecast keys implanted in each block 0.
+// D forecast keys implanted in each block 0. The batches are fixed by the
+// run layout — no decision depends on their contents — so the overlapped
+// merge issues them all before awaiting the first; batch composition,
+// order and operation count are the same either way.
 func (m *merger[R]) loadInitialBlocks() error {
 	pending := make([][]int, m.d) // per disk: run handles whose block 0 lives there
 	for h, run := range m.runs {
 		pending[run.Disk(0)] = append(pending[run.Disk(0)], h)
 	}
+	batches := make([][]int, 0, len(m.runs)) // run handles of each read, one block per disk
 	for {
-		var addrs []pdisk.BlockAddr
 		var handles []int
 		for disk := 0; disk < m.d; disk++ {
-			if len(pending[disk]) == 0 {
-				continue
+			if len(pending[disk]) > 0 {
+				handles = append(handles, pending[disk][0])
+				pending[disk] = pending[disk][1:]
 			}
-			h := pending[disk][0]
-			pending[disk] = pending[disk][1:]
-			addrs = append(addrs, m.runs[h].Addr(0))
-			handles = append(handles, h)
 		}
-		if len(addrs) == 0 {
+		if len(handles) == 0 {
 			break
 		}
-		blocks, err := m.sys.ReadBlocks(addrs)
-		if err != nil {
-			return err
-		}
-		m.stats.InitialReads++
-		m.stats.ReadOps++
-		if m.sink != nil {
-			refs := make([]trace.BlockRef, len(blocks))
-			for i, blk := range blocks {
-				refs[i] = m.ref(handles[i], 0, record.FirstKeyOf(pdisk.RecsOf[R](blk)))
-			}
-			m.emit(trace.EventParRead, 0, refs...)
-		}
-		m.seedFromLeadingBlocks(handles, blocks)
+		batches = append(batches, handles)
 	}
-	return nil
+	addrs := func(handles []int) []pdisk.BlockAddr {
+		out := make([]pdisk.BlockAddr, len(handles))
+		for i, h := range handles {
+			out[i] = m.runs[h].Addr(0)
+		}
+		return out
+	}
+	if !m.async {
+		for _, handles := range batches {
+			blocks, err := m.sys.ReadBlocks(addrs(handles))
+			if err != nil {
+				return err
+			}
+			m.seedFromLeadingBlocks(handles, blocks)
+		}
+		return nil
+	}
+	futs := make([]*pdisk.ReadFuture, len(batches))
+	for i, handles := range batches {
+		futs[i] = m.sys.ReadBlocksAsync(addrs(handles))
+	}
+	var firstErr error
+	for i, fut := range futs {
+		// Wait on every future, even after a failure, so each issued
+		// request is collected before we unwind.
+		blocks, err := fut.Wait()
+		if firstErr == nil {
+			if firstErr = err; err == nil {
+				m.seedFromLeadingBlocks(batches[i], blocks)
+			}
+		}
+	}
+	return firstErr
+}
+
+// seedFromLeadingBlocks registers one landed batch of block-0 reads: FDS
+// seeding from the implanted keys and promotion into M_L.
+func (m *merger[R]) seedFromLeadingBlocks(handles []int, blocks []pdisk.StoredBlock) {
+	m.stats.InitialReads++
+	m.stats.ReadOps++
+	recs := make([][]R, len(blocks))
+	for i, blk := range blocks {
+		recs[i] = pdisk.RecsOf[R](blk)
+	}
+	if m.sink != nil {
+		refs := make([]trace.BlockRef, len(blocks))
+		for i := range blocks {
+			refs[i] = m.ref(handles[i], 0, record.FirstKeyOf(recs[i]))
+		}
+		m.emit(trace.EventParRead, 0, refs...)
+	}
+	for _, rs := range recs {
+		if len(rs) > 0 && rs[0].X() != "" {
+			m.setVarlen()
+			break
+		}
+	}
+	for i, blk := range blocks {
+		h := handles[i]
+		if len(blk.Forecast) != m.d {
+			panic(fmt.Sprintf("srm: block 0 of run %d carries %d forecast keys, want D=%d",
+				m.runs[h].ID, len(blk.Forecast), m.d))
+		}
+		for t := 1; t <= m.d; t++ {
+			if key := blk.Forecast[t-1]; key != record.MaxKey {
+				m.fds.Set(m.runs[h].Disk(t), h, t, key)
+			}
+		}
+		m.lead[h] = recs[i]
+		m.leadIdx[h] = 0
+		m.mem.LeadingAcquired()
+		m.pushHead(h)
+		m.emit(trace.EventPromote, 0, m.ref(h, 0, record.FirstKeyOf(recs[i])))
+	}
 }
 
 // pumpIO issues parallel reads for as long as the schedule of Section 5.5
 // allows: the M_D landing zone has drained (|F_t| ≤ R+D) and some block
-// remains on disk. Case 2c virtually flushes before reading. It returns the
-// number of read operations performed.
+// remains on disk. Case 2c virtually flushes before reading. An async
+// merge hides each read's latency behind consumption: the read is issued,
+// the merge consumes what it safely can (consumeOverlapped), and only then
+// is the read awaited and landed. Guard conditions and flush decisions are
+// evaluated on exactly the states the synchronous pump sees. It returns
+// the number of reads performed plus records consumed.
 func (m *merger[R]) pumpIO() (int, error) {
-	reads := 0
+	progress := 0
 	for m.fds.Len() > 0 && m.mem.Occupied() <= m.r+m.d {
 		m.maybeFlush()
-		if err := m.parRead(); err != nil {
-			return reads, err
+		addrs, entries := m.chooseParRead()
+		var blocks []pdisk.StoredBlock
+		var err error
+		if m.async {
+			fut := m.sys.ReadBlocksAsync(addrs)
+			if m.pendingRun < 0 {
+				consumed, err := m.consumeOverlapped()
+				if err != nil {
+					fut.Wait() // collect the issued requests before unwinding
+					return progress, err
+				}
+				progress += consumed
+			}
+			blocks, err = fut.Wait()
+		} else {
+			blocks, err = m.sys.ReadBlocks(addrs)
 		}
-		reads++
+		if err != nil {
+			return progress, err
+		}
+		m.landParRead(blocks, addrs, entries)
+		progress++
 	}
-	return reads, nil
+	return progress, nil
 }
 
 // maybeFlush applies case 2c of the Section 5.5 schedule: when the
@@ -358,22 +478,11 @@ func (m *merger[R]) flush(n, outRank int) {
 	m.emit(trace.EventFlush, outRank, refs...)
 }
 
-// parRead performs ParRead_t: from every disk with a pending block, read
-// the smallest one, in a single parallel I/O operation.
-func (m *merger[R]) parRead() error {
-	addrs, entries := m.chooseParRead()
-	blocks, err := m.sys.ReadBlocks(addrs)
-	if err != nil {
-		return err
-	}
-	m.landParRead(blocks, addrs, entries)
-	return nil
-}
-
 // chooseParRead selects the blocks of ParRead_t — the smallest pending
-// block of every disk — without touching any state: the choice is a pure
-// function of the FDS and the stall set (both identical at pick time in
-// sync and async execution), so the two paths make identical picks.
+// block of every disk, one parallel I/O operation — without touching any
+// state: the choice is a pure function of the FDS and the stall set (both
+// identical at pick time in sync and async execution), so the two modes
+// make identical picks.
 func (m *merger[R]) chooseParRead() ([]pdisk.BlockAddr, []forecast.Entry) {
 	var addrs []pdisk.BlockAddr
 	var entries []forecast.Entry
@@ -430,8 +539,7 @@ func (m *merger[R]) preferAwaited(disk int, e forecast.Entry) forecast.Entry {
 }
 
 // landParRead applies a completed ParRead to the merge state: FDS
-// updates, stalled-run promotions, M_D insertions and statistics. It is
-// the single landing path of both the sync and the async merge loop.
+// updates, stalled-run promotions, M_D insertions and statistics.
 func (m *merger[R]) landParRead(blocks []pdisk.StoredBlock, addrs []pdisk.BlockAddr, entries []forecast.Entry) {
 	m.stats.ReadOps++
 	var readRefs, promoted []trace.BlockRef

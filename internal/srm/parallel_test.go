@@ -12,24 +12,18 @@ func TestParallelMatchesSerial(t *testing.T) {
 	const n = 6000
 	all := record.NewGenerator(31).Random(n)
 
-	runOnce := func(parallel bool, workers int) ([]record.Record, SortStats) {
+	runOnce := func(workers int) ([]record.Record, SortStats) {
 		sys := newSys(t, 4, 8)
 		file, err := runform.LoadInput(sys, all)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pl := runio.StaggeredPlacement{D: 4}
-		formed, err := runform.MemoryLoad[record.Record](sys, file, 200, pl, 0)
+		formed, err := runform.MemoryLoad[record.Record](sys, file, 200, pl, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var final *runio.Run
-		var stats SortStats
-		if parallel {
-			final, stats, _, err = SortRunsParallel[record.Record](sys, formed.Runs, 5, pl, formed.NextSeq, workers)
-		} else {
-			final, stats, _, err = SortRuns[record.Record](sys, formed.Runs, 5, pl, formed.NextSeq)
-		}
+		final, stats, _, err := SortRuns[record.Record](sys, formed.Runs, 5, pl, formed.NextSeq, SortOpts{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,9 +34,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 		return out, stats
 	}
 
-	serialOut, serialStats := runOnce(false, 0)
+	serialOut, serialStats := runOnce(0)
 	for _, workers := range []int{1, 2, 8} {
-		parOut, parStats := runOnce(true, workers)
+		parOut, parStats := runOnce(workers)
 		if len(parOut) != len(serialOut) {
 			t.Fatalf("workers=%d: %d records vs %d", workers, len(parOut), len(serialOut))
 		}
@@ -70,11 +64,11 @@ func TestParallelRandomPlacementDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		pl := &runio.RandomPlacement{D: 3, Rng: newRand(77)}
-		formed, err := runform.MemoryLoad[record.Record](sys, file, 100, pl, 0)
+		formed, err := runform.MemoryLoad[record.Record](sys, file, 100, pl, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stats, _, err := SortRunsParallel[record.Record](sys, formed.Runs, 4, pl, formed.NextSeq, 4)
+		_, stats, _, err := SortRuns[record.Record](sys, formed.Runs, 4, pl, formed.NextSeq, SortOpts{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,10 +85,10 @@ func TestParallelValidation(t *testing.T) {
 	g := record.NewGenerator(33)
 	runs := g.SplitIntoSortedRuns(g.Random(20), 2)
 	descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: 2})
-	if _, _, _, err := SortRunsParallel[record.Record](sys, descs, 1, runio.StaggeredPlacement{D: 2}, 0, 2); err == nil {
+	if _, _, _, err := SortRuns[record.Record](sys, descs, 1, runio.StaggeredPlacement{D: 2}, 0, SortOpts{Workers: 2}); err == nil {
 		t.Fatal("merge order 1 accepted")
 	}
-	if _, _, _, err := SortRunsParallel[record.Record](sys, nil, 2, runio.StaggeredPlacement{D: 2}, 0, 2); err == nil {
+	if _, _, _, err := SortRuns[record.Record](sys, nil, 2, runio.StaggeredPlacement{D: 2}, 0, SortOpts{Workers: 2}); err == nil {
 		t.Fatal("no runs accepted")
 	}
 }

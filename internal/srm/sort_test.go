@@ -18,11 +18,11 @@ func fullSort(t testing.TB, sys *pdisk.System, all []record.Record, load, r int,
 		t.Fatal(err)
 	}
 	sys.ResetStats()
-	formed, err := runform.MemoryLoad[record.Record](sys, file, load, placement, 0)
+	formed, err := runform.MemoryLoad[record.Record](sys, file, load, placement, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, stats, _, err := SortRuns[record.Record](sys, formed.Runs, r, placement, formed.NextSeq)
+	final, stats, _, err := SortRuns[record.Record](sys, formed.Runs, r, placement, formed.NextSeq, SortOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +102,10 @@ func TestSortRunsRejectsBadOrder(t *testing.T) {
 	g := record.NewGenerator(24)
 	runs := g.SplitIntoSortedRuns(g.Random(20), 2)
 	descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: 2})
-	if _, _, _, err := SortRuns[record.Record](sys, descs, 1, runio.StaggeredPlacement{D: 2}, 0); err == nil {
+	if _, _, _, err := SortRuns[record.Record](sys, descs, 1, runio.StaggeredPlacement{D: 2}, 0, SortOpts{}); err == nil {
 		t.Fatal("merge order 1 accepted")
 	}
-	if _, _, _, err := SortRuns[record.Record](sys, nil, 2, runio.StaggeredPlacement{D: 2}, 0); err == nil {
+	if _, _, _, err := SortRuns[record.Record](sys, nil, 2, runio.StaggeredPlacement{D: 2}, 0, SortOpts{}); err == nil {
 		t.Fatal("no runs accepted")
 	}
 }
@@ -150,14 +150,14 @@ func TestPropertyFullSort(t *testing.T) {
 		if staggered {
 			pl = runio.StaggeredPlacement{D: d}
 		}
-		formed, err := runform.MemoryLoad[record.Record](sys, file, 64, pl, 0)
+		formed, err := runform.MemoryLoad[record.Record](sys, file, 64, pl, 0, 1)
 		if err != nil {
 			return false
 		}
 		if len(formed.Runs) == 0 {
 			return n == 0
 		}
-		final, _, _, err := SortRuns[record.Record](sys, formed.Runs, r, pl, formed.NextSeq)
+		final, _, _, err := SortRuns[record.Record](sys, formed.Runs, r, pl, formed.NextSeq, SortOpts{})
 		if err != nil {
 			return false
 		}

@@ -44,7 +44,7 @@ func TestTracedMergePassesChecker(t *testing.T) {
 
 		checker := trace.NewChecker(tc.d)
 		recorder := &trace.Recorder{}
-		outRun, stats, err := MergeTraced[record.Record](sys, descs, tc.numRuns, 777, 0, trace.Multi(checker, recorder))
+		outRun, stats, err := Merge[record.Record](sys, descs, tc.numRuns, 777, 0, MergeOpts{Sink: trace.Multi(checker, recorder)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestTracedMergeRenders(t *testing.T) {
 	runs := g.SplitIntoSortedRuns(g.Random(40), 4)
 	descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: 2})
 	rec := &trace.Recorder{}
-	if _, _, err := MergeTraced[record.Record](sys, descs, 4, 1, 0, rec); err != nil {
+	if _, _, err := Merge[record.Record](sys, descs, 4, 1, 0, MergeOpts{Sink: rec}); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
@@ -109,7 +109,7 @@ func TestTracingIsTransparent(t *testing.T) {
 		g := record.NewGenerator(11)
 		runs := g.SplitIntoSortedRuns(all, 10)
 		descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: 4})
-		_, stats, err := MergeTraced[record.Record](sys, descs, 10, 5, 0, sink)
+		_, stats, err := Merge[record.Record](sys, descs, 10, 5, 0, MergeOpts{Sink: sink})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,6 @@ package srmsort
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"runtime"
 
@@ -186,17 +185,14 @@ type Config struct {
 	// removed when the sort finishes. A user-supplied Dir is created if
 	// absent and kept; only the store's scratch files are removed.
 	Dir string
-	// FileBacked is the legacy spelling of Backend: FileBackend.
-	//
-	// Deprecated: set Backend instead.
-	FileBacked bool
 	// TempDir is the parent directory for the temporary store directory
 	// when Dir is empty.
 	TempDir string
 	// Workers > 1 executes the independent merges of each pass on that
 	// many goroutines (-1 means GOMAXPROCS); 0 or 1 runs serially. The
 	// result and all I/O statistics are identical either way — only the
-	// host wall-clock changes. SRM variants only.
+	// host wall-clock changes — but each concurrent merge holds its own
+	// M records of buffers. SRM variants only.
 	Workers int
 	// Cores bounds the goroutines run formation spreads its sorting
 	// over: each memory load (SRM and DSM alike) is sorted in per-core
@@ -364,16 +360,12 @@ func (c Config) codec() (record.Codec, error) {
 	return codec, nil
 }
 
-// backend resolves the effective storage backend, folding the deprecated
-// FileBacked flag in.
+// backend resolves the effective storage backend ("" means MemBackend).
 func (c Config) backend() Backend {
-	if c.Backend != "" {
-		return c.Backend
+	if c.Backend == "" {
+		return MemBackend
 	}
-	if c.FileBacked {
-		return FileBackend
-	}
-	return MemBackend
+	return c.Backend
 }
 
 // newSystem builds the disk system of a sort on the configured backend,
@@ -451,7 +443,7 @@ func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
 func runAlgorithm[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, cfg Config, m, r int, stats *Stats, cp *checkpointer, tr *progressTracker) (func(func(R) error) error, error) {
 	switch cfg.Algorithm {
 	case DSM:
-		return sortDSM[R](sys, file, m, r, cfg.Async, cfg.cores(), stats, cp, tr)
+		return sortDSM[R](sys, file, m, r, cfg, stats, cp, tr)
 	case PSV:
 		return sortPSV[R](sys, file, m, stats, tr)
 	default:
@@ -740,54 +732,17 @@ func runSortTyped[R record.KernelRecord](cfg Config, codec record.Codec, resume 
 	return stats, nil
 }
 
-// chainPassFuncs composes per-pass hooks (checkpointing, progress) into
-// one srm.PassFunc, nil when there is nothing to call.
-func chainPassFuncs(hooks ...srm.PassFunc) srm.PassFunc {
-	live := hooks[:0]
-	for _, h := range hooks {
-		if h != nil {
-			live = append(live, h)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	chained := append([]srm.PassFunc(nil), live...)
-	return func(pass int, survivors []*runio.Run, seq int) error {
-		for _, h := range chained {
-			if err := h(pass, survivors, seq); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
 func sortSRM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m, r int, cfg Config, stats *Stats, cp *checkpointer, tr *progressTracker) (func(func(R) error) error, error) {
-	var placement runio.Placement
-	if cfg.Algorithm == SRMDeterministic {
-		placement = runio.StaggeredPlacement{D: cfg.D}
-	} else {
-		placement = &runio.RandomPlacement{D: cfg.D, Rng: rand.New(rand.NewSource(cfg.Seed))}
-	}
-	var counting *runio.CountingPlacement
-	if cp != nil {
-		// Count placement draws so the manifest records how far the
-		// seeded RNG has advanced; a resume replays exactly that many.
-		counting = &runio.CountingPlacement{Inner: placement}
-		placement = counting
-	}
-
-	var formed runform.Result
-	var err error
+	placement := replayedPlacement(cfg, 0) // no draws to replay yet
+	// Count placement draws so a checkpoint can record how far the seeded
+	// RNG has advanced; a resume replays exactly that many.
+	counting := &runio.CountingPlacement{Inner: placement}
+	form := runform.MemoryLoad[R]
+	size := (m + 1) / 2
 	if cfg.RunFormation == ReplacementSelection {
-		formed, err = runform.ReplacementSelectionCores[R](sys, file, m, placement, 0, cfg.cores())
-	} else {
-		formed, err = runform.MemoryLoadCores[R](sys, file, (m+1)/2, placement, 0, cfg.cores())
+		form, size = runform.ReplacementSelection[R], m
 	}
+	formed, err := form(sys, file, size, counting, 0, cfg.cores())
 	if err != nil {
 		return nil, err
 	}
@@ -795,52 +750,72 @@ func sortSRM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 	stats.RunFormationReads = afterForm.ReadOps
 	stats.RunFormationWrites = afterForm.WriteOps
 	stats.InitialRuns = len(formed.Runs)
+	tr.formed(len(formed.Runs), len(formed.Runs), r, 0)
 	if len(formed.Runs) == 0 {
-		tr.formed(0, 0, r, 0)
 		return func(func(R) error) error { return nil }, nil
 	}
-	tr.formed(len(formed.Runs), len(formed.Runs), r, 0)
-
-	opts := srm.SortOpts{Async: cfg.Async, Workers: cfg.Workers}
-	var cpHook, trHook srm.PassFunc
+	base := runGen{Seq: formed.NextSeq, Draws: counting.Draws()}
 	if cp != nil {
 		// Pass 0 is run formation: checkpoint the freshly formed runs so
 		// a crash during the first merge pass can resume from them.
 		cp.man.InitialRuns = len(formed.Runs)
-		if err := cp.save(runGen{
-			Pass:  0,
-			Seq:   formed.NextSeq,
-			Draws: counting.Draws(),
-			Runs:  runStates(formed.Runs),
-		}); err != nil {
+		base.Runs = runStates(formed.Runs)
+		if err := cp.save(base); err != nil {
 			return nil, err
 		}
-		cpHook = func(pass int, survivors []*runio.Run, seq int) error {
-			return cp.save(runGen{
-				Pass:  pass,
+	}
+	return mergeSRM[R](sys, cfg, r, base, formed.Runs, placement, stats, cp, tr)
+}
+
+// afterPass builds a merge phase's per-pass hook: persist the generation
+// gen describes, then report progress. It is nil when there is neither a
+// checkpoint nor a progress callback, so each merge's inputs are freed as
+// soon as it completes.
+func afterPass[T any](cp *checkpointer, tr *progressTracker, base int, gen func(pass int, survivors []T, seq int) runGen) runio.PassFunc[T] {
+	if cp == nil && tr == nil {
+		return nil
+	}
+	return func(pass int, survivors []T, seq int) error {
+		if cp != nil {
+			if err := cp.save(gen(pass, survivors, seq)); err != nil {
+				return err
+			}
+		}
+		tr.pass(base, pass, len(survivors))
+		return nil
+	}
+}
+
+// mergeSRM is the merge phase of the SRM family, shared by fresh sorts and
+// Resume. It merges runs down to one from the generation base — the pass,
+// run sequence number and placement draws that run formation or a
+// recovered checkpoint left off at — checkpointing and reporting every
+// pass, and returns the final run's iterator. placement must continue
+// after base.Draws draws. Completed passes are not redone: stats counts
+// only the work performed now.
+func mergeSRM[R record.KernelRecord](sys *pdisk.System, cfg Config, r int, base runGen, runs []*runio.Run, placement runio.Placement, stats *Stats, cp *checkpointer, tr *progressTracker) (func(func(R) error) error, error) {
+	counting := &runio.CountingPlacement{Inner: placement}
+	final, ss, _, err := srm.SortRuns[R](sys, runs, r, counting, base.Seq, srm.SortOpts{
+		Async:   cfg.Async,
+		Workers: cfg.Workers,
+		AfterPass: afterPass(cp, tr, base.Pass, func(pass int, survivors []*runio.Run, seq int) runGen {
+			return runGen{
+				Pass:  base.Pass + pass,
 				Seq:   seq,
-				Draws: counting.Draws(),
+				Draws: base.Draws + counting.Draws(),
 				Runs:  runStates(survivors),
-			})
-		}
-	}
-	if tr != nil {
-		trHook = func(pass int, survivors []*runio.Run, seq int) error {
-			tr.pass(0, pass, len(survivors))
-			return nil
-		}
-	}
-	opts.AfterPass = chainPassFuncs(cpHook, trHook)
-	final, sortStats, _, err := srm.SortRunsOpts[R](sys, formed.Runs, r, placement, formed.NextSeq, opts)
+			}
+		}),
+	})
 	if err != nil {
 		return nil, err
 	}
-	stats.MergePasses = sortStats.MergePasses
-	stats.MergeReads = sortStats.ReadOps
-	stats.MergeWrites = sortStats.WriteOps
-	stats.Flushes = sortStats.Flushes
-	stats.BlocksFlushed = sortStats.BlocksFlushed
-	stats.BlocksReread = sortStats.BlocksReread
+	stats.MergePasses = ss.MergePasses
+	stats.MergeReads = ss.ReadOps
+	stats.MergeWrites = ss.WriteOps
+	stats.Flushes = ss.Flushes
+	stats.BlocksFlushed = ss.BlocksFlushed
+	stats.BlocksReread = ss.BlocksReread
 	if cfg.Async {
 		return func(fn func(R) error) error { return runio.StreamAsync(sys, final, fn) }, nil
 	}
@@ -866,70 +841,38 @@ func sortPSV[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 	return func(fn func(R) error) error { return runio.Stream(sys, final, fn) }, nil
 }
 
-func sortDSM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m, r int, async bool, cores int, stats *Stats, cp *checkpointer, tr *progressTracker) (func(func(R) error) error, error) {
-	dsmStream := func(final *dsm.Run) func(func(R) error) error {
-		if async {
-			return func(fn func(R) error) error { return dsm.StreamAsync(sys, final, fn) }
-		}
-		return func(fn func(R) error) error { return dsm.Stream(sys, final, fn) }
-	}
-	if cp == nil && tr == nil {
-		var final *dsm.Run
-		var ds dsm.SortStats
-		var err error
-		final, ds, err = dsm.SortCores[R](sys, file, (m+1)/2, r, async, cores)
-		if err != nil {
-			return nil, err
-		}
-		stats.RunFormationReads = ds.RunFormationReads
-		stats.RunFormationWrites = ds.RunFormationWrites
-		stats.InitialRuns = ds.InitialRuns
-		stats.MergePasses = ds.MergePasses
-		stats.MergeReads = ds.MergeReadOps
-		stats.MergeWrites = ds.MergeWriteOps
-		return dsmStream(final), nil
-	}
-
-	// Hooked path (checkpointing and/or progress): run formation and
-	// merging are driven separately so pass 0 (the formed runs) can be
-	// persisted and reported before any merge pass.
-	before := sys.Stats()
-	var runs []*dsm.Run
-	var err error
-	runs, err = dsm.FormRunsCores[R](sys, file, (m+1)/2, async, cores)
+func sortDSM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m, r int, cfg Config, stats *Stats, cp *checkpointer, tr *progressTracker) (func(func(R) error) error, error) {
+	runs, err := dsm.FormRuns[R](sys, file, (m+1)/2, cfg.Async, cfg.cores())
 	if err != nil {
 		return nil, err
 	}
 	afterForm := sys.Stats()
-	stats.RunFormationReads = afterForm.ReadOps - before.ReadOps
-	stats.RunFormationWrites = afterForm.WriteOps - before.WriteOps
+	stats.RunFormationReads = afterForm.ReadOps
+	stats.RunFormationWrites = afterForm.WriteOps
 	stats.InitialRuns = len(runs)
-	if len(runs) == 0 {
-		tr.formed(0, 0, r, 0)
-		final, err := dsm.NewWriter[R](sys, 0).Finish()
-		if err != nil {
-			return nil, err
-		}
-		return dsmStream(final), nil
-	}
 	tr.formed(len(runs), len(runs), r, 0)
+	if len(runs) == 0 {
+		return func(func(R) error) error { return nil }, nil
+	}
+	base := runGen{Seq: len(runs)}
 	if cp != nil {
 		cp.man.InitialRuns = len(runs)
-		if err := cp.save(runGen{Pass: 0, Seq: len(runs), DSMRuns: dsmRunStates(runs)}); err != nil {
+		base.DSMRuns = dsmRunStates(runs)
+		if err := cp.save(base); err != nil {
 			return nil, err
 		}
 	}
-	final, ms, _, err := dsm.MergeAll[R](sys, runs, r, len(runs), dsm.MergeAllOpts{
-		Async: async,
-		AfterPass: func(pass int, survivors []*dsm.Run, seq int) error {
-			if cp != nil {
-				if err := cp.save(runGen{Pass: pass, Seq: seq, DSMRuns: dsmRunStates(survivors)}); err != nil {
-					return err
-				}
-			}
-			tr.pass(0, pass, len(survivors))
-			return nil
-		},
+	return mergeDSM[R](sys, cfg, r, base, runs, stats, cp, tr)
+}
+
+// mergeDSM is mergeSRM for the striped baseline: the merge phase shared by
+// fresh DSM sorts and Resume.
+func mergeDSM[R record.KernelRecord](sys *pdisk.System, cfg Config, r int, base runGen, runs []*dsm.Run, stats *Stats, cp *checkpointer, tr *progressTracker) (func(func(R) error) error, error) {
+	final, ms, _, err := dsm.MergeAll[R](sys, runs, r, base.Seq, dsm.MergeAllOpts{
+		Async: cfg.Async,
+		AfterPass: afterPass(cp, tr, base.Pass, func(pass int, survivors []*dsm.Run, seq int) runGen {
+			return runGen{Pass: base.Pass + pass, Seq: seq, DSMRuns: dsmRunStates(survivors)}
+		}),
 	})
 	if err != nil {
 		return nil, err
@@ -937,5 +880,5 @@ func sortDSM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 	stats.MergePasses = ms.MergePasses
 	stats.MergeReads = ms.MergeReadOps
 	stats.MergeWrites = ms.MergeWriteOps
-	return dsmStream(final), nil
+	return func(fn func(R) error) error { return dsm.Stream(sys, final, cfg.Async, fn) }, nil
 }

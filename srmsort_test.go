@@ -2,6 +2,8 @@ package srmsort
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -158,17 +160,34 @@ func TestSortReplacementSelection(t *testing.T) {
 	}
 }
 
-// The deprecated FileBacked/TempDir spelling must keep selecting the file
-// backend (compat pin; new code uses Backend/Dir).
+// The file backend without a Dir keeps its disk files in a fresh
+// directory under TempDir and removes it when the sort finishes.
 func TestSortFileBacked(t *testing.T) {
 	in := randomRecords(2000, 7)
-	out, stats, err := Sort(in, Config{D: 3, B: 8, K: 3, FileBacked: true, TempDir: t.TempDir()})
+	tmp := t.TempDir()
+	seen := 0 // store directories under TempDir while the sort runs
+	out, stats, err := Sort(in, Config{D: 3, B: 8, K: 3, Backend: FileBackend, TempDir: tmp,
+		Progress: func(Progress) {
+			if dirs, _ := filepath.Glob(filepath.Join(tmp, "srmsort-disks-*")); len(dirs) > seen {
+				seen = len(dirs)
+			}
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkSorted(t, in, out)
 	if stats.TotalOps() == 0 {
 		t.Fatal("no I/O recorded")
+	}
+	if seen != 1 {
+		t.Fatalf("saw %d store directories under TempDir during the sort, want 1", seen)
+	}
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("scratch store left %d entries under TempDir", len(left))
 	}
 }
 

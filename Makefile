@@ -28,7 +28,7 @@ check: fmt-check build
 		echo "staticcheck not installed; skipping (go vet still ran)"; fi
 	go test -race ./...
 	go test -tags=aliascheck ./internal/pdisk/ ./internal/srm/
-	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge|ParallelWorkers|SortShapes' -benchtime=1x .
+	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelWorkers|SortShapes' -benchtime=1x .
 
 # The whole suite with MemStore's zero-copy mutation guard armed: every
 # block read is checksum-audited, so any merge path that mutates a block
@@ -63,13 +63,14 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The measured end-to-end sort benchmark (alg x backend x D x cores),
-# plus the multicore merge kernel in isolation and the sortedness shapes
-# (presorted and reversed cells run the merge's gallop mode). Writes BENCH_sort.json
+# The measured end-to-end sort benchmark (alg x backend x D x codec),
+# plus the sortd server sweep, the pass-level Workers sweep and the
+# sortedness shapes (presorted and reversed cells run the merge's gallop
+# mode). Writes BENCH_sort.json
 # with ns/record, B/record and allocs/record per cell — the perf
 # trajectory future PRs regress against (see EXPERIMENTS.md).
 bench:
-	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge|ParallelWorkers|SortShapes' -benchmem . | tee bench_sort_output.txt
+	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelWorkers|SortShapes' -benchmem . | tee bench_sort_output.txt
 	go run ./cmd/benchjson -o BENCH_sort.json bench_sort_output.txt
 
 # Every benchmark in the repository (micro and end-to-end).
@@ -80,12 +81,12 @@ bench-all:
 # deltas against the committed BENCH_sort.json baseline — the perf gate a
 # change is judged by before the baseline itself is refreshed.
 bench-diff:
-	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge|ParallelWorkers|SortShapes' -benchmem . | tee bench_sort_output.txt
+	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelWorkers|SortShapes' -benchmem . | tee bench_sort_output.txt
 	go run ./cmd/benchjson -diff BENCH_sort.json bench_sort_output.txt
 
 # One iteration per cell: proves the harness runs, measures nothing.
 bench-smoke:
-	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge|ParallelWorkers|SortShapes' -benchtime=1x .
+	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelWorkers|SortShapes' -benchtime=1x .
 
 # The repository benchmark (perfbench/, declared in BENCHMARK.json):
 # every workload once untraced (end-to-end metrics) and once traced
@@ -99,16 +100,17 @@ perfbench:
 perfbench-selftest:
 	cd perfbench && go test ./...
 
-# Native-fuzz bursts CI runs exactly: 20 seconds on the parallel-merge
-# equivalence fuzzer (random runs, shard counts and data shapes, every
-# shard placement byte-compared against the serial merge), 20 seconds on
+# Native-fuzz bursts CI runs exactly: 20 seconds on the overlapped
+# stream fuzzer (arbitrary wire streams through the async pipeline and its
+# readahead egest: malformed input must error, never panic or hang, and
+# well-formed input must sort to the synchronous bytes), 20 seconds on
 # the two-width kernel fuzzer (the pointer-free Rec16 and wide Record
 # instantiations must produce identical records and identical Stats), and
 # 20 seconds on the codec round-trip fuzzer (truncated tails and
 # bit-flips must surface as ErrCorrupt, never as a panic or silent
 # corruption).
 fuzz-smoke:
-	go test -fuzz=FuzzParallelMergeEquiv -fuzztime=20s .
+	go test -fuzz=FuzzSortStreamAsync -fuzztime=20s .
 	go test -fuzz=FuzzTwoWidthKernelEquiv -fuzztime=20s .
 	go test -fuzz=FuzzCodecRoundTrip -fuzztime=20s ./internal/record/
 

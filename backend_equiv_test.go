@@ -3,19 +3,16 @@ package srmsort
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 )
 
 // The acceptance matrix for the merge kernel and the pluggable stores:
-// every algorithm over sync/async × mem/file × D in {1, 2, 4, 8} × Cores
-// in {1, 2, GOMAXPROCS} produces byte-identical sorted output and
-// identical Stats. Swapping the storage substrate may change only where
-// the blocks live, overlapping the I/O may change only when the CPU
-// waits, and spreading the comparison work over cores may change only
-// which goroutine computes a span — never the blocks themselves, the
-// emission order, nor a single counted I/O operation (ReadOps, WriteOps,
-// Flushes and the rest of Stats are compared whole). The galloped
+// every algorithm over sync/async × mem/file × D in {1, 2, 4, 8} produces
+// byte-identical sorted output and identical Stats. Swapping the storage
+// substrate may change only where the blocks live, and overlapping the
+// I/O may change only when the CPU waits — never the blocks themselves,
+// the emission order, nor a single counted I/O operation (ReadOps,
+// WriteOps, Flushes and the rest of Stats are compared whole). The galloped
 // bulk-emission kernel runs inside every one of these cells; together with
 // the golden schedule counts this pins it to the per-record kernel's
 // behavior across the full matrix.
@@ -39,10 +36,9 @@ func TestBackendEquivalenceMatrix(t *testing.T) {
 				asyncModes = []bool{false} // PSV always runs sync
 			}
 			t.Run(fmt.Sprintf("%s/D=%d", alg, d), func(t *testing.T) {
-				// The sync in-memory serial cell is the reference every
-				// other (backend, async, cores) combination must
-				// reproduce exactly.
-				cfg := Config{D: d, B: 4, K: 2, Algorithm: alg, Seed: 31, Backend: MemBackend, Cores: 1}
+				// The sync in-memory cell is the reference every other
+				// (backend, async) combination must reproduce exactly.
+				cfg := Config{D: d, B: 4, K: 2, Algorithm: alg, Seed: 31, Backend: MemBackend}
 				refOut, refStats, err := Sort(in, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -51,27 +47,25 @@ func TestBackendEquivalenceMatrix(t *testing.T) {
 
 				for _, async := range asyncModes {
 					for _, backend := range []Backend{MemBackend, FileBackend} {
-						for _, cores := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-							if backend == MemBackend && !async && cores == 1 {
-								continue // the reference itself
-							}
-							cfg := Config{D: d, B: 4, K: 2, Algorithm: alg, Seed: 31,
-								Async: async, Backend: backend, Cores: cores}
-							if backend == FileBackend {
-								cfg.Dir = t.TempDir()
-							}
-							out, stats, err := Sort(in, cfg)
-							if err != nil {
-								t.Fatalf("backend=%v async=%v cores=%d: %v", backend, async, cores, err)
-							}
-							if !bytes.Equal(encode(out), refBytes) {
-								t.Fatalf("backend=%v async=%v cores=%d: output differs from sync/mem/serial reference",
-									backend, async, cores)
-							}
-							if stats != refStats {
-								t.Fatalf("backend=%v async=%v cores=%d stats diverge:\nref %+v\ngot %+v",
-									backend, async, cores, refStats, stats)
-							}
+						if backend == MemBackend && !async {
+							continue // the reference itself
+						}
+						cfg := Config{D: d, B: 4, K: 2, Algorithm: alg, Seed: 31,
+							Async: async, Backend: backend}
+						if backend == FileBackend {
+							cfg.Dir = t.TempDir()
+						}
+						out, stats, err := Sort(in, cfg)
+						if err != nil {
+							t.Fatalf("backend=%v async=%v: %v", backend, async, err)
+						}
+						if !bytes.Equal(encode(out), refBytes) {
+							t.Fatalf("backend=%v async=%v: output differs from sync/mem reference",
+								backend, async)
+						}
+						if stats != refStats {
+							t.Fatalf("backend=%v async=%v stats diverge:\nref %+v\ngot %+v",
+								backend, async, refStats, stats)
 						}
 					}
 				}
@@ -81,9 +75,9 @@ func TestBackendEquivalenceMatrix(t *testing.T) {
 }
 
 // TestBackendEquivalenceMatrixVarlen is the codec axis of the acceptance
-// matrix: the same algorithm × backend × D × async × cores sweep carrying
+// matrix: the same algorithm × backend × D × async sweep carrying
 // variable-length records under both varlen codecs. The reference for
-// each (algorithm, D, codec) is again the sync in-memory serial cell; all
+// each (algorithm, D, codec) is again the sync in-memory cell; all
 // other cells must reproduce its wire encoding byte for byte with
 // identical Stats. The input's four-letter keys force prefix-word ties,
 // so the content comparator and the varlen stall/valve machinery run in
@@ -110,7 +104,7 @@ func TestBackendEquivalenceMatrixVarlen(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/%s/D=%d", codec, alg, d), func(t *testing.T) {
 					cfg := Config{D: d, B: 4, K: 2, Algorithm: alg, Seed: 31,
-						Backend: MemBackend, Cores: 1, Codec: codec}
+						Backend: MemBackend, Codec: codec}
 					refOut, refStats, err := SortVar(in, cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -119,27 +113,25 @@ func TestBackendEquivalenceMatrixVarlen(t *testing.T) {
 
 					for _, async := range asyncModes {
 						for _, backend := range []Backend{MemBackend, FileBackend} {
-							for _, cores := range []int{1, runtime.GOMAXPROCS(0)} {
-								if backend == MemBackend && !async && cores == 1 {
-									continue // the reference itself
-								}
-								cfg := Config{D: d, B: 4, K: 2, Algorithm: alg, Seed: 31,
-									Async: async, Backend: backend, Cores: cores, Codec: codec}
-								if backend == FileBackend {
-									cfg.Dir = t.TempDir()
-								}
-								out, stats, err := SortVar(in, cfg)
-								if err != nil {
-									t.Fatalf("backend=%v async=%v cores=%d: %v", backend, async, cores, err)
-								}
-								if !bytes.Equal(encode(out), refBytes) {
-									t.Fatalf("backend=%v async=%v cores=%d: output differs from sync/mem/serial reference",
-										backend, async, cores)
-								}
-								if stats != refStats {
-									t.Fatalf("backend=%v async=%v cores=%d stats diverge:\nref %+v\ngot %+v",
-										backend, async, cores, refStats, stats)
-								}
+							if backend == MemBackend && !async {
+								continue // the reference itself
+							}
+							cfg := Config{D: d, B: 4, K: 2, Algorithm: alg, Seed: 31,
+								Async: async, Backend: backend, Codec: codec}
+							if backend == FileBackend {
+								cfg.Dir = t.TempDir()
+							}
+							out, stats, err := SortVar(in, cfg)
+							if err != nil {
+								t.Fatalf("backend=%v async=%v: %v", backend, async, err)
+							}
+							if !bytes.Equal(encode(out), refBytes) {
+								t.Fatalf("backend=%v async=%v: output differs from sync/mem reference",
+									backend, async)
+							}
+							if stats != refStats {
+								t.Fatalf("backend=%v async=%v stats diverge:\nref %+v\ngot %+v",
+									backend, async, refStats, stats)
 							}
 						}
 					}

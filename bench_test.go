@@ -18,7 +18,6 @@ import (
 	"srmsort/internal/analysis"
 	"srmsort/internal/occupancy"
 	"srmsort/internal/pdisk"
-	"srmsort/internal/pmerge"
 	"srmsort/internal/psv"
 	"srmsort/internal/record"
 	"srmsort/internal/runform"
@@ -208,35 +207,17 @@ func BenchmarkEndToEnd(b *testing.B) {
 	}
 }
 
-// benchCoresAxis is the Cores sweep of the end-to-end matrix: serial,
-// two-way, and everything the host offers (deduplicated, so a small
-// machine does not produce identically named rows).
-func benchCoresAxis() []int {
-	axis := []int{1, 2}
-	if max := runtime.GOMAXPROCS(0); max > 2 {
-		axis = append(axis, max)
-	}
-	if axis[len(axis)-1] == 1 {
-		axis = axis[:1]
-	}
-	return axis
-}
-
 // BenchmarkSortEndToEnd is the hot-path regression matrix: every sorting
-// algorithm on every storage backend across disk counts and core counts,
-// with per-record CPU-cost metrics (ns/rec, B/rec, allocs/rec) alongside
-// the standard per-op figures. `make bench` runs exactly this matrix and
-// converts the output into BENCH_sort.json, the perf trajectory
-// EXPERIMENTS.md tracks; future kernel changes regress against those
-// numbers. The cores axis must leave every I/O figure unchanged — only
-// ns/rec may move (down with cores on a multicore host; within noise at
-// cores=1 versus the pre-parallel kernel).
+// algorithm on every storage backend across disk counts, with per-record
+// CPU-cost metrics (ns/rec, B/rec, allocs/rec) alongside the standard
+// per-op figures. `make bench` runs exactly this matrix and converts the
+// output into BENCH_sort.json, the perf trajectory EXPERIMENTS.md tracks;
+// future kernel changes regress against those numbers.
 //
-// The codec axis: fixed16 rows keep their historical names (no /codec=
-// suffix, so the trajectory in BENCH_sort.json stays diffable across this
-// change), and varlen/varlen+flate rows run every algorithm on both
-// backends at the D=4, cores=1 shape — the cells EXPERIMENTS.md's
-// fixed16-vs-varlen overhead table reads.
+// The codec axis: fixed16 rows carry no /codec= suffix, and
+// varlen/varlen+flate rows run every algorithm on both backends at the
+// D=4 shape — the cells EXPERIMENTS.md's fixed16-vs-varlen overhead
+// table reads.
 func BenchmarkSortEndToEnd(b *testing.B) {
 	const n = 200_000
 	in := benchRecords(n, 42)
@@ -252,64 +233,54 @@ func BenchmarkSortEndToEnd(b *testing.B) {
 					if alg == PSV && d < 2 {
 						continue // PSV needs >= 2 disks
 					}
-					coresAxis := benchCoresAxis()
-					if alg == PSV {
-						coresAxis = coresAxis[:1] // PSV always runs serially
+					if codec != "fixed16" && d != 4 {
+						continue
 					}
+					name := fmt.Sprintf("alg=%s/backend=%s/D=%d", alg, backend, d)
 					if codec != "fixed16" {
-						if d != 4 {
-							continue
-						}
-						coresAxis = coresAxis[:1]
+						name += "/codec=" + codec
 					}
-					for _, cores := range coresAxis {
-						name := fmt.Sprintf("alg=%s/backend=%s/D=%d/cores=%d", alg, backend, d, cores)
-						if codec != "fixed16" {
-							name += "/codec=" + codec
-						}
-						b.Run(name, func(b *testing.B) {
-							b.ReportAllocs()
-							var before, after runtime.MemStats
-							runtime.GC()
-							runtime.ReadMemStats(&before)
-							b.ResetTimer()
-							for i := 0; i < b.N; i++ {
-								cfg := Config{
-									D: d, B: 64, K: 4, Algorithm: alg, Seed: 11, Backend: backend,
-									Cores: cores,
-								}
-								var got int
-								if codec == "fixed16" {
-									out, _, err := Sort(in, cfg)
-									if err != nil {
-										b.Fatal(err)
-									}
-									got = len(out)
-								} else {
-									cfg.Codec = codec
-									if varIn == nil {
-										b.StopTimer()
-										varIn = benchVarRecords(n, 42)
-										b.StartTimer()
-									}
-									out, _, err := SortVar(varIn, cfg)
-									if err != nil {
-										b.Fatal(err)
-									}
-									got = len(out)
-								}
-								if got != n {
-									b.Fatalf("sorted %d of %d records", got, n)
-								}
+					b.Run(name, func(b *testing.B) {
+						b.ReportAllocs()
+						var before, after runtime.MemStats
+						runtime.GC()
+						runtime.ReadMemStats(&before)
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							cfg := Config{
+								D: d, B: 64, K: 4, Algorithm: alg, Seed: 11, Backend: backend,
 							}
-							b.StopTimer()
-							runtime.ReadMemStats(&after)
-							recs := float64(n) * float64(b.N)
-							b.ReportMetric(float64(b.Elapsed().Nanoseconds())/recs, "ns/rec")
-							b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/recs, "B/rec")
-							b.ReportMetric(float64(after.Mallocs-before.Mallocs)/recs, "allocs/rec")
-						})
-					}
+							var got int
+							if codec == "fixed16" {
+								out, _, err := Sort(in, cfg)
+								if err != nil {
+									b.Fatal(err)
+								}
+								got = len(out)
+							} else {
+								cfg.Codec = codec
+								if varIn == nil {
+									b.StopTimer()
+									varIn = benchVarRecords(n, 42)
+									b.StartTimer()
+								}
+								out, _, err := SortVar(varIn, cfg)
+								if err != nil {
+									b.Fatal(err)
+								}
+								got = len(out)
+							}
+							if got != n {
+								b.Fatalf("sorted %d of %d records", got, n)
+							}
+						}
+						b.StopTimer()
+						runtime.ReadMemStats(&after)
+						recs := float64(n) * float64(b.N)
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/recs, "ns/rec")
+						b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/recs, "B/rec")
+						b.ReportMetric(float64(after.Mallocs-before.Mallocs)/recs, "allocs/rec")
+					})
 				}
 			}
 		}
@@ -384,30 +355,6 @@ func BenchmarkSortShapes(b *testing.B) {
 				if len(out) != n {
 					b.Fatalf("sorted %d of %d records", len(out), n)
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(n)*float64(b.N)), "ns/rec")
-		})
-	}
-}
-
-// BenchmarkParallelMerge is the multicore merge kernel in isolation: R
-// sorted runs merged in memory through pmerge.Merge at each core count,
-// far from any I/O, so the cores axis measures exactly the sharded
-// kernel (binsplit + per-shard loser tree with galloped emission) against
-// its serial self. ns/rec is the figure EXPERIMENTS.md's cores-scaling
-// table tracks.
-func BenchmarkParallelMerge(b *testing.B) {
-	const n, r = 1 << 20, 16
-	gen := record.NewGenerator(7)
-	runs := gen.SplitIntoSortedRuns(gen.WithDuplicates(n, 1000), r)
-	seqs := make([][]record.Record, len(runs))
-	out := make([]record.Record, n)
-	for _, cores := range benchCoresAxis() {
-		b.Run(fmt.Sprintf("R=%d/cores=%d", r, cores), func(b *testing.B) {
-			b.SetBytes(int64(n * record.Bytes))
-			for i := 0; i < b.N; i++ {
-				copy(seqs, runs)
-				pmerge.Merge(seqs, out, cores, pmerge.KeyRun)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(n)*float64(b.N)), "ns/rec")
 		})
@@ -564,8 +511,7 @@ func BenchmarkAblationPartialStriping(b *testing.B) {
 
 // BenchmarkParallelWorkers measures the host-side speedup of executing a
 // pass's independent merges on multiple goroutines (identical I/O counts)
-// — Config.Workers, the one pass-level parallelism knob (Cores shards run
-// formation only).
+// — Config.Workers, the one host-parallelism knob.
 func BenchmarkParallelWorkers(b *testing.B) {
 	const n = 300_000
 	in := benchRecords(n, 98)

@@ -10,7 +10,7 @@ import (
 func TestParseDropsProcsSuffix(t *testing.T) {
 	in := `goos: linux
 BenchmarkSortShapes/near-sorted-2   	      10	 24600000 ns/op	       246.0 ns/rec
-BenchmarkSortEndToEnd/alg=SRM/backend=mem/D=4/cores=2-2   	      10	 1000 ns/op
+BenchmarkSortEndToEnd/alg=SRM/backend=mem/D=4-2   	      10	 1000 ns/op
 BenchmarkServerThroughput/jobs=16   	       3	 2000 ns/op
 PASS
 `
@@ -20,7 +20,7 @@ PASS
 	}
 	want := []string{
 		"BenchmarkSortShapes/near-sorted",
-		"BenchmarkSortEndToEnd/alg=SRM/backend=mem/D=4/cores=2",
+		"BenchmarkSortEndToEnd/alg=SRM/backend=mem/D=4",
 		"BenchmarkServerThroughput/jobs=16",
 	}
 	if len(got) != len(want) {

@@ -12,7 +12,7 @@
 //	      [-core-budget N] [-gate-width 2] [-gate-disks 64] [-retries 5]
 //	      [-max-attempts 3] [-op-deadline DUR] [-hedge-after DUR]
 //	      [-drain 5s] [-d 8] [-b 64] [-k 4] [-alg srm] [-seed 1]
-//	      [-async] [-workers N] [-cores N]
+//	      [-async] [-workers N]
 //
 // The -d/-b/-k/-alg/... flags are per-job defaults; each submission may
 // override them with query parameters. Submit wire-format records
@@ -57,7 +57,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		root        = flag.String("root", "", "directory jobs persist under (empty = volatile: results die with the process)")
 		budget      = flag.Int("budget", 4_000_000, "server-wide working-memory budget in records; each job's M is reserved from it")
-		coreBudget  = flag.Int("core-budget", 0, "server-wide core budget; each job's cores are reserved from it with its memory (0 = GOMAXPROCS)")
+		coreBudget  = flag.Int("core-budget", 0, "server-wide core budget; each job reserves one core per concurrent merge (-workers) from it with its memory (0 = GOMAXPROCS)")
 		gateWidth   = flag.Int("gate-width", 2, "per-disk in-flight transfer bound shared by all jobs (-1 = unlimited)")
 		gateDisks   = flag.Int("gate-disks", 64, "disks the shared gate covers (largest d= any job may request)")
 		retries     = flag.Int("retries", 5, "re-attempt transient I/O failures up to N times per operation (0 = fail on first error)")
@@ -73,7 +73,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "default placement seed")
 		async       = flag.Bool("async", false, "default: overlap I/O with merging")
 		workers     = flag.Int("workers", 0, "default merges of a pass run at once (-1 = GOMAXPROCS; a job reserves M memory and a core for each)")
-		cores       = flag.Int("cores", 1, "default cores per job's sort steps (identical output at any value)")
 		codec       = flag.String("codec", "fixed16", "default record codec: fixed16, varlen, varlen+flate")
 	)
 	flag.Parse()
@@ -87,7 +86,7 @@ func main() {
 		MaxAttempts:  *maxAttempts,
 		Defaults: jobs.Spec{
 			Algorithm: *alg, D: *d, B: *b, K: *k, Memory: *mem,
-			Seed: *seed, Async: *async, Workers: *workers, Cores: *cores,
+			Seed: *seed, Async: *async, Workers: *workers,
 			Codec: *codec,
 		},
 		Logf: log.Printf,

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	srmsort -n 1000000 -d 8 -b 64 -k 4 [-alg srm|srm-det|dsm|psv] [-workers N]
-//	        [-cores N] [-async] [-input random|sorted|reverse|dups] [-runform load|rs]
+//	        [-async] [-input random|sorted|reverse|dups] [-runform load|rs]
 //	        [-model none|1996|modern] [-backend mem|file] [-dir DIR]
 //	        [-codec fixed16|varlen|varlen+flate]
 //	        [-seed N] [-verify] [-cpuprofile FILE] [-memprofile FILE]
@@ -80,7 +80,6 @@ func main() {
 		dir      = flag.String("dir", "", "directory for -backend file disk files (default: fresh temp dir)")
 		seed     = flag.Int64("seed", 1, "random seed (placement and input)")
 		workers  = flag.Int("workers", 0, "goroutines for a pass's merges (SRM only; -1 = GOMAXPROCS)")
-		cores    = flag.Int("cores", 0, "cores for run formation: each memory load is sorted in per-core chunks; merge passes are serial (0 = GOMAXPROCS, 1 = serial; identical output)")
 		async    = flag.Bool("async", false, "overlap I/O with merging (SRM/DSM; identical output and I/O statistics)")
 		verify   = flag.Bool("verify", true, "verify the output is sorted")
 		inFile   = flag.String("infile", "", "read wire-format records from this file instead of generating (-n ignored)")
@@ -99,7 +98,7 @@ func main() {
 
 	cfg := srmsort.Config{
 		D: *d, B: *b, K: *k, Memory: *mem,
-		Seed: *seed, Dir: *dir, Workers: *workers, Cores: *cores, Async: *async,
+		Seed: *seed, Dir: *dir, Workers: *workers, Async: *async,
 		Codec: *codec,
 	}
 	var varlen bool

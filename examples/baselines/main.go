@@ -55,7 +55,7 @@ func main() {
 		file := mustLoad(sys, input)
 		sys.ResetStats()
 		pl := &runio.RandomPlacement{D: d, Rng: rand.New(rand.NewSource(5))}
-		formed, err := runform.MemoryLoad[record.Record](sys, file, load, pl, 0, 1)
+		formed, err := runform.MemoryLoad[record.Record](sys, file, load, pl, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func main() {
 		file := mustLoad(sys, input)
 		sys.ResetStats()
 		r := analysis.DSMMergeOrder(m, d, b)
-		runs, err := dsm.FormRuns[record.Record](sys, file, load, false, 1)
+		runs, err := dsm.FormRuns[record.Record](sys, file, load, false)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -38,15 +38,6 @@ type Cell struct {
 	// Kill, when true, tears a write roughly 60% of the way through the
 	// sort — the simulated process dies and the harness must resume.
 	Kill bool
-	// Cores is the sort's Config.Cores (0 = the library default,
-	// GOMAXPROCS). Output must be byte-identical at any value.
-	Cores int
-	// ResumeCores, when non-zero, switches every resume attempt to a
-	// DIFFERENT core count than the original sort ran with — the
-	// checkpoint manifest records only I/O state, so a recovering
-	// process with more (or fewer) cores must still reproduce the
-	// fault-free bytes exactly.
-	ResumeCores int
 	// Straggle turns on the seeded heavy-tail (Pareto) latency model for
 	// every operation — microsecond-scale, so cells finish in bounded
 	// wall-clock — normally paired with OpDeadline/HedgeAfter so hedges
@@ -94,7 +85,6 @@ func (c Cell) config() srmsort.Config {
 		D: c.D, B: 8, K: 3,
 		Algorithm: c.Algorithm,
 		Seed:      c.Seed,
-		Cores:     c.Cores,
 		Codec:     c.Codec,
 	}
 }
@@ -300,14 +290,8 @@ func (c Cell) runCheckpointed(want []byte) (Result, error) {
 		// The "process" died (kill) or aborted (retry exhaustion). The
 		// next incarnation sees the same store, minus the armed kill —
 		// one crash per cell; steady-state transient faults stay on.
-		// With ResumeCores set, the incarnation also runs on a different
-		// core count than the one that wrote the checkpoint.
 		fault.Configure(c.faultConfig())
-		rcfg := cfg
-		if c.ResumeCores != 0 {
-			rcfg.Cores = c.ResumeCores
-		}
-		out, err = c.sortEncoded(rcfg, true)
+		out, err = c.sortEncoded(cfg, true)
 		res.Attempts++
 	}
 	if c.Kill && !res.Killed {

@@ -57,54 +57,6 @@ func TestChaosMatrix(t *testing.T) {
 	}
 }
 
-// TestChaosCoresResume is the multicore wing of the chaos matrix: sorts
-// running with Cores > 1 are killed mid-write and resumed by an
-// incarnation with a DIFFERENT core count. The checkpoint manifest
-// records only I/O state — run layout, pass number, placement draws —
-// so the core count is free to change across a crash, and the recovered
-// output must still match the fault-free run byte for byte.
-func TestChaosCoresResume(t *testing.T) {
-	pairs := []struct{ cores, resume int }{
-		{1, 4}, // serial writer, parallel recoverer
-		{4, 1}, // parallel writer, serial recoverer
-		{2, 8}, // parallel both, different widths
-	}
-	seed := int64(9000)
-	for _, alg := range []srmsort.Algorithm{srmsort.SRM, srmsort.DSM} {
-		for _, backend := range []srmsort.Backend{srmsort.MemBackend, srmsort.FileBackend} {
-			for _, p := range pairs {
-				seed++
-				cell := Cell{
-					Algorithm:   alg,
-					Backend:     backend,
-					D:           4,
-					Records:     1200,
-					Seed:        seed,
-					FailProb:    0.05,
-					Kill:        true,
-					Cores:       p.cores,
-					ResumeCores: p.resume,
-				}
-				name := fmt.Sprintf("%v-%s-cores%d-resume%d", alg, backend, p.cores, p.resume)
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					if cell.Backend == srmsort.FileBackend {
-						cell.Dir = t.TempDir()
-					}
-					res, err := Run(cell)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !res.Killed {
-						t.Fatal("armed kill never fired")
-					}
-					t.Logf("attempts=%d", res.Attempts)
-				})
-			}
-		}
-	}
-}
-
 // TestChaosVarlen is the codec axis of the chaos matrix: variable-length
 // sorts killed mid-write under transient faults, resumed under the codec
 // the checkpoint manifest records, and byte-compared (in wire encoding)

@@ -21,7 +21,6 @@ import (
 
 	"srmsort/internal/ltree"
 	"srmsort/internal/pdisk"
-	"srmsort/internal/pmerge"
 	"srmsort/internal/record"
 	"srmsort/internal/runform"
 	"srmsort/internal/runio"
@@ -401,12 +400,11 @@ type SortStats struct {
 }
 
 // FormRuns performs DSM's run-formation pass: the striped input is read
-// with full parallelism, sorted one load at a time across up to cores
-// goroutines (pmerge.Sort), and each load is written out as a run in
-// logical blocks — written behind the next load's sort when async. Sorted
-// loads are byte-identical for every core count, so the emitted stripes
-// and operation counts depend on neither cores nor async.
-func FormRuns[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load int, async bool, cores int) ([]*Run, error) {
+// with full parallelism, sorted one load at a time, and each load is
+// written out as a run in logical blocks — written behind the next load's
+// sort when async. The emitted stripes and operation counts do not depend
+// on async.
+func FormRuns[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load int, async bool) ([]*Run, error) {
 	if load < 1 {
 		return nil, fmt.Errorf("dsm: load %d", load)
 	}
@@ -422,7 +420,7 @@ func FormRuns[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile,
 		}
 		sorted := make([]R, len(chunk))
 		copy(sorted, chunk)
-		pmerge.Sort(sorted, cores)
+		record.SortRecords(sorted)
 		w := NewWriter[R](sys, len(runs))
 		w.async = async
 		if err := w.AppendBlock(sorted); err != nil {

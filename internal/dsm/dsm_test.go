@@ -32,7 +32,7 @@ type fileSort struct {
 // r-way merges from sequence number len(runs).
 func sortFile[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load, r int, async bool) (*Run, fileSort, error) {
 	before := sys.Stats()
-	runs, err := FormRuns[R](sys, file, load, async, 1)
+	runs, err := FormRuns[R](sys, file, load, async)
 	if err != nil {
 		return nil, fileSort{}, err
 	}

@@ -14,9 +14,8 @@ import (
 //     admission control in the Rahn–Sanders sense: memory is a globally
 //     budgeted resource, and the number of concurrently running sorts is
 //     whatever the budget admits, not a fixed worker count.
-//   - Cores. Each job declares how many goroutines its single sort steps
-//     spread comparison work over (Spec.Cores, the library's
-//     Config.Cores), and the server bounds the sum so co-tenant sorts
+//   - Cores. Each job reserves one core per merge it runs at once
+//     (Spec.Workers), and the server bounds the sum so co-tenant sorts
 //     cannot oversubscribe the CPU the way they cannot oversubscribe
 //     memory.
 //

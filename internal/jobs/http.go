@@ -15,7 +15,7 @@ import (
 //
 //	POST   /jobs             submit: body = wire-format records, query
 //	                         parameters = Spec fields (alg, d, b, k,
-//	                         mem, seed, async, workers, cores, codec);
+//	                         mem, seed, async, workers, codec);
 //	                         returns 202 with the job status
 //	GET    /jobs             list every job plus server stats
 //	GET    /jobs/{id}        one job's status
@@ -163,7 +163,6 @@ func specFromQuery(r *http.Request) (Spec, error) {
 	spec.K = geti("k")
 	spec.Memory = geti("mem")
 	spec.Workers = geti("workers")
-	spec.Cores = geti("cores")
 	if s := q.Get("seed"); s != "" && err == nil {
 		v, perr := strconv.ParseInt(s, 10, 64)
 		if perr != nil {

@@ -9,11 +9,10 @@
 //     server-wide budget before the job starts and returned when it
 //     finishes. Admission is FIFO (see budget); the budget is never
 //     oversubscribed.
-//   - Cores. Each job's Spec.Cores (the library's Config.Cores — how
-//     many goroutines its sort steps spread comparison work over) is
-//     reserved from a server-wide core budget in the same atomic FIFO
-//     grant as its memory, so co-tenant sorts cannot oversubscribe the
-//     CPU.
+//   - Cores. Each job reserves one core per merge it runs at once
+//     (Spec.Workers) from a server-wide core budget, in the same atomic
+//     FIFO grant as its memory, so co-tenant sorts cannot oversubscribe
+//     the CPU.
 //   - Disk bandwidth. All jobs' Systems share one pdisk.DiskGate, so a
 //     job's per-disk transfer concurrency is bounded server-wide and a
 //     wide job cannot monopolise the disks against a narrow one.
@@ -70,10 +69,11 @@ type Spec struct {
 	// concurrent merge holds its own M records of buffers, so admission
 	// reserves Workers·M memory and at least Workers cores.
 	Workers int `json:"workers,omitempty"`
-	// Cores is how many goroutines the job's single sort steps spread
-	// comparison work over (library Config.Cores). It is reserved from
-	// the server's core budget alongside memory; 0 inherits the server
-	// default (1 — co-tenant jobs are serial unless they ask).
+	// Cores is decoded and ignored: run formation is one serial sort per
+	// memory load, so a job's core need is its Workers alone.
+	//
+	// Deprecated: kept so spec.json files written by older servers, and
+	// callers that still set it, keep decoding. Nothing reads it.
 	Cores int `json:"cores,omitempty"`
 	// Codec is the record codec of the job's input, disks and output:
 	// "" or "fixed16" (16-byte wire records), "varlen" or "varlen+flate"
@@ -100,9 +100,6 @@ func (s Spec) withDefaults(d Spec) Spec {
 	}
 	if s.Seed == 0 {
 		s.Seed = d.Seed
-	}
-	if s.Cores == 0 {
-		s.Cores = d.Cores
 	}
 	if s.Codec == "" {
 		s.Codec = d.Codec
@@ -161,7 +158,6 @@ func (s Spec) Config() (srmsort.Config, error) {
 		Seed:      s.Seed,
 		Async:     s.Async,
 		Workers:   s.Workers,
-		Cores:     s.Cores,
 		Codec:     s.Codec,
 	}, nil
 }
@@ -324,9 +320,10 @@ type Options struct {
 	// MemoryBudget is the server-wide working-memory budget in records;
 	// every job's M is reserved from it. Required.
 	MemoryBudget int
-	// CoreBudget is the server-wide core budget; every job's Cores is
-	// reserved from it alongside its memory (one atomic {memory, cores}
-	// grant, same FIFO). 0 means GOMAXPROCS.
+	// CoreBudget is the server-wide core budget; every job reserves one
+	// core per concurrent merge (Spec.Workers) from it alongside its
+	// memory (one atomic {memory, cores} grant, same FIFO). 0 means
+	// GOMAXPROCS.
 	CoreBudget int
 	// GateWidth bounds each simulated disk's in-flight transfers across
 	// ALL jobs (the shared bandwidth knob). 0 means 2; negative disables
@@ -402,7 +399,7 @@ func NewManager(opts Options) (*Manager, error) {
 	if opts.CoreBudget < 1 {
 		return nil, fmt.Errorf("jobs: CoreBudget = %d, need >= 1", opts.CoreBudget)
 	}
-	opts.Defaults = opts.Defaults.withDefaults(Spec{Algorithm: "srm", D: 4, B: 16, K: 3, Cores: 1})
+	opts.Defaults = opts.Defaults.withDefaults(Spec{Algorithm: "srm", D: 4, B: 16, K: 3})
 	if opts.Deadline != nil {
 		// Clone the policy and pin one tracker: every job's deadline
 		// layer reports into the same server-wide health ledger.
@@ -501,9 +498,8 @@ func (m *Manager) Submit(spec Spec, input io.Reader) (*Job, error) {
 }
 
 // validate checks a defaulted spec against the server's limits and
-// returns the working memory and cores it will reserve: M records and
-// Cores cores for one merge at a time, w·M records and at least w cores
-// for a job that runs w merges of a pass at once.
+// returns the working memory and cores it will reserve: w·M records and
+// w cores for a job that runs w merges of a pass at once.
 func (m *Manager) validate(spec Spec) (memNeed, coreNeed int, err error) {
 	cfg, err := spec.Config()
 	if err != nil {
@@ -524,10 +520,7 @@ func (m *Manager) validate(spec Spec) (memNeed, coreNeed int, err error) {
 		return 0, 0, fmt.Errorf("%w: job needs %d records (M=%d for each of %d concurrent merges), server budget is %d",
 			ErrOverBudget, memNeed, mem, w, m.budget.Total())
 	}
-	if spec.Cores < 1 {
-		return 0, 0, fmt.Errorf("jobs: cores = %d, need >= 1 (0 inherits the server default)", spec.Cores)
-	}
-	if coreNeed = max(spec.Cores, w); coreNeed > m.budget.CoresTotal() {
+	if coreNeed = w; coreNeed > m.budget.CoresTotal() {
 		return 0, 0, fmt.Errorf("%w: job needs %d cores, server budget is %d",
 			ErrOverBudget, coreNeed, m.budget.CoresTotal())
 	}
@@ -568,6 +561,12 @@ func (m *Manager) ingest(j *Job, input io.Reader) error {
 
 	j.dir = filepath.Join(m.opts.Root, j.id)
 	if err := os.MkdirAll(j.dir, 0o755); err != nil {
+		return err
+	}
+	// The job directory's entry in the root must be durable before
+	// spec.json commits the submit, or a crash can lose an acknowledged
+	// job with its whole directory.
+	if err := pdisk.SyncDir(m.opts.Root); err != nil {
 		return err
 	}
 	f, err := os.Create(filepath.Join(j.dir, "input.rec"))

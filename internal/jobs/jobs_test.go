@@ -668,8 +668,8 @@ func TestSpecWithDefaults(t *testing.T) {
 }
 
 // TestAdmissionCountsWorkers: a job running w merges of a pass at once
-// holds w merges' buffers, so it reserves w·M memory and at least w
-// cores; a workers=4 job cannot fit a 3·M budget.
+// holds w merges' buffers, so it reserves w·M memory and w cores; a
+// workers=4 job cannot fit a 3·M budget.
 func TestAdmissionCountsWorkers(t *testing.T) {
 	cfg, _ := testSpec(1).Config()
 	_, mNeed, err := cfg.MergeOrder()
@@ -689,7 +689,7 @@ func TestAdmissionCountsWorkers(t *testing.T) {
 		memNeed, cores int
 	}{
 		{Spec{Workers: 3}, 3 * mNeed, 3},
-		{Spec{Workers: 1, Cores: 2}, mNeed, 2},
+		{Spec{Workers: 1, Cores: 2}, mNeed, 1},     // Cores is decoded and ignored
 		{Spec{Algorithm: "dsm", Workers: 4}, 0, 1}, // DSM merges serially
 	} {
 		spec := tc.spec.withDefaults(m.opts.Defaults)

@@ -624,6 +624,10 @@ func CommitRename(tmp, dst string) error {
 	return syncPath(filepath.Dir(dst))
 }
 
+// SyncDir fsyncs a directory, making the entries created in it durable:
+// a new subdirectory survives a crash only once its parent is synced.
+func SyncDir(dir string) error { return syncPath(dir) }
+
 // LoadManifest implements ManifestStore.
 func (f *FileStore) LoadManifest() ([]byte, bool, error) {
 	data, err := os.ReadFile(f.manifestPath())

@@ -174,7 +174,7 @@ func Sort[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, loa
 	d := sys.D()
 	before := sys.Stats()
 
-	formed, err := runform.MemoryLoad[R](sys, file, load, runio.StaggeredPlacement{D: d}, 0, 1)
+	formed, err := runform.MemoryLoad[R](sys, file, load, runio.StaggeredPlacement{D: d}, 0)
 	if err != nil {
 		return nil, stats, err
 	}

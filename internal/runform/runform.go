@@ -21,7 +21,6 @@ import (
 
 	"srmsort/internal/iheap"
 	"srmsort/internal/pdisk"
-	"srmsort/internal/pmerge"
 	"srmsort/internal/record"
 	"srmsort/internal/runio"
 )
@@ -195,18 +194,14 @@ type Result struct {
 }
 
 // MemoryLoad forms initial runs by sorting 'load' records at a time (the
-// paper's default is load = M/2), each load across up to cores
-// goroutines (pmerge.Sort: per-core chunks + merge-back). The sorted
-// loads — and therefore the written runs, and the I/O schedule — are
-// byte-identical for every core count; cores <= 1 is exactly the serial
-// record.SortRecords path.
-func MemoryLoad[R record.KernelRecord](sys *pdisk.System, file *InputFile, load int, placement runio.Placement, seqStart, cores int) (Result, error) {
+// paper's default is load = M/2) with record.SortRecordsScratch.
+func MemoryLoad[R record.KernelRecord](sys *pdisk.System, file *InputFile, load int, placement runio.Placement, seqStart int) (Result, error) {
 	if load < 1 {
 		return Result{}, fmt.Errorf("runform: load %d", load)
 	}
 	r := NewReader[R](sys, file)
 	res := Result{NextSeq: seqStart}
-	var scratch []R // radix/merge-back buffer, reused across loads
+	var scratch []R // radix buffer, reused across loads
 	for {
 		chunk, err := r.Read(load)
 		if err != nil {
@@ -220,7 +215,7 @@ func MemoryLoad[R record.KernelRecord](sys *pdisk.System, file *InputFile, load 
 		if len(scratch) < len(sorted) {
 			scratch = make([]R, len(sorted))
 		}
-		pmerge.SortScratch(sorted, scratch, cores)
+		record.SortRecordsScratch(sorted, scratch)
 		run, err := runio.WriteRun(sys, res.NextSeq, placement.StartDisk(res.NextSeq), sorted)
 		if err != nil {
 			return Result{}, err
@@ -237,16 +232,15 @@ func MemoryLoad[R record.KernelRecord](sys *pdisk.System, file *InputFile, load 
 // drains, a new run begins. Random inputs yield runs of expected length
 // about 2*heapSize.
 //
-// The bulk of the comparison work is parallelized: each generation's
-// resident records are sorted up front across up to cores goroutines
-// (pmerge.Sort), and the run is then emitted by merging two sources —
-// the sorted generation arena (a cursor) and a small heap of records
-// admitted from the input during emission. Key ties go to the arena, so
-// emission order is fully deterministic and independent of cores; the
+// The bulk of the comparison work is one sort per generation: each
+// generation's resident records are sorted up front, and the run is then
+// emitted by merging two sources — the sorted generation arena (a cursor)
+// and a small heap of records admitted from the input during emission.
+// Key ties go to the arena, so emission order is fully deterministic; the
 // classical admission rule (an input record joins the current run iff its
 // key is >= the last key emitted) is unchanged, so run boundaries, lengths
 // and the I/O schedule match the serial algorithm exactly.
-func ReplacementSelection[R record.KernelRecord](sys *pdisk.System, file *InputFile, heapSize int, placement runio.Placement, seqStart, cores int) (Result, error) {
+func ReplacementSelection[R record.KernelRecord](sys *pdisk.System, file *InputFile, heapSize int, placement runio.Placement, seqStart int) (Result, error) {
 	if heapSize < 1 {
 		return Result{}, fmt.Errorf("runform: heap size %d", heapSize)
 	}
@@ -279,14 +273,14 @@ func ReplacementSelection[R record.KernelRecord](sys *pdisk.System, file *InputF
 	slots := make([]R, heapSize)
 	free := make([]int, 0, heapSize)
 
-	var scratch []R // radix/merge-back buffer, reused across generations
+	var scratch []R // radix buffer, reused across generations
 	for len(cur) > 0 {
 		arena := make([]R, len(cur))
 		copy(arena, cur)
 		if len(scratch) < len(arena) {
 			scratch = make([]R, len(arena))
 		}
-		pmerge.SortScratch(arena, scratch, cores)
+		record.SortRecordsScratch(arena, scratch)
 		h := iheap.New(heapSize)
 		free = free[:0]
 		for i := heapSize - 1; i >= 0; i-- {

@@ -59,7 +59,7 @@ func TestMemoryLoadFormsCorrectRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.ResetStats()
-	res, err := MemoryLoad[record.Record](sys, f, 128, runio.StaggeredPlacement{D: 3}, 0, 1)
+	res, err := MemoryLoad[record.Record](sys, f, 128, runio.StaggeredPlacement{D: 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestMemoryLoadIOCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.ResetStats()
-	if _, err := MemoryLoad[record.Record](sys, f, 16*b, runio.StaggeredPlacement{D: d}, 0, 1); err != nil {
+	if _, err := MemoryLoad[record.Record](sys, f, 16*b, runio.StaggeredPlacement{D: d}, 0); err != nil {
 		t.Fatal(err)
 	}
 	st := sys.Stats()
@@ -110,7 +110,7 @@ func TestMemoryLoadStaggeredStartDisks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MemoryLoad[record.Record](sys, f, 8, runio.StaggeredPlacement{D: 4}, 2, 1)
+	res, err := MemoryLoad[record.Record](sys, f, 8, runio.StaggeredPlacement{D: 4}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestReplacementSelectionCorrectAndLong(t *testing.T) {
 		t.Fatal(err)
 	}
 	const m = 200
-	res, err := ReplacementSelection[record.Record](sys, f, m, runio.StaggeredPlacement{D: 2}, 0, 1)
+	res, err := ReplacementSelection[record.Record](sys, f, m, runio.StaggeredPlacement{D: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestReplacementSelectionReverseSortedWorstCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	const m = 100
-	res, err := ReplacementSelection[record.Record](sys, f, m, runio.StaggeredPlacement{D: 2}, 0, 1)
+	res, err := ReplacementSelection[record.Record](sys, f, m, runio.StaggeredPlacement{D: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestReplacementSelectionSortedInputOneRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ReplacementSelection[record.Record](sys, f, 50, runio.StaggeredPlacement{D: 2}, 0, 1)
+	res, err := ReplacementSelection[record.Record](sys, f, 50, runio.StaggeredPlacement{D: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,14 +195,14 @@ func TestEmptyInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MemoryLoad[record.Record](sys, f, 10, runio.StaggeredPlacement{D: 2}, 0, 1)
+	res, err := MemoryLoad[record.Record](sys, f, 10, runio.StaggeredPlacement{D: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Runs) != 0 {
 		t.Fatalf("empty input formed %d runs", len(res.Runs))
 	}
-	res, err = ReplacementSelection[record.Record](sys, f, 10, runio.StaggeredPlacement{D: 2}, 0, 1)
+	res, err = ReplacementSelection[record.Record](sys, f, 10, runio.StaggeredPlacement{D: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +228,9 @@ func TestPropertyBothStrategiesPreserveMultiset(t *testing.T) {
 		}
 		var res Result
 		if useRS {
-			res, err = ReplacementSelection[record.Record](sys, file, 37, runio.StaggeredPlacement{D: d}, 0, 1)
+			res, err = ReplacementSelection[record.Record](sys, file, 37, runio.StaggeredPlacement{D: d}, 0)
 		} else {
-			res, err = MemoryLoad[record.Record](sys, file, 37, runio.StaggeredPlacement{D: d}, 0, 1)
+			res, err = MemoryLoad[record.Record](sys, file, 37, runio.StaggeredPlacement{D: d}, 0)
 		}
 		if err != nil {
 			return false

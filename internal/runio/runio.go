@@ -409,12 +409,14 @@ func Stream[R record.KernelRecord](sys *pdisk.System, run *Run, fn func(R) error
 // StreamAsync is Stream with single-block readahead: block i+1 is in
 // flight while fn consumes block i, hiding device latency behind the
 // caller's processing. The operation count is identical to Stream's (one
-// read per block).
+// read per block). No read is left in flight on any return: a callback
+// error waits out the readahead it abandons.
 func StreamAsync[R record.KernelRecord](sys *pdisk.System, run *Run, fn func(R) error) error {
 	if run.NumBlocks() == 0 {
 		return nil
 	}
 	fut := sys.ReadBlocksAsync([]pdisk.BlockAddr{run.Addr(0)})
+	defer func() { _, _ = fut.Wait() }() // a no-op once fut is collected
 	for i := 0; i < run.NumBlocks(); i++ {
 		blks, err := fut.Wait()
 		if err != nil {

@@ -25,9 +25,11 @@
 //     landing mutates none of these: it only shortens leading blocks and,
 //     at most once, notes a depletion whose Exchange is deferred.
 //  2. The overlapped consumption stops at exactly the records the merge
-//     may emit regardless of the in-flight read: strictly below every
-//     stalled run's awaited key (the stall guard the sync consumer also
-//     obeys) and at most up to the first leading-block depletion. The
+//     may emit regardless of the in-flight read: records that precede
+//     every stalled run's awaited record in (key, run) order (the stall
+//     guard the sync consumer also obeys; see consume for why its
+//     inclusive bound never admits a record a landing could reorder)
+//     and at most up to the first leading-block depletion. The
 //     depletion's block event — promotion, stall, or exhaustion, the only
 //     consumption effect that changes |F_t| — is processed after the read
 //     lands, exactly where the sync path processes it.
@@ -46,21 +48,23 @@ package srm
 // consumeOverlapped consumes records while a ParRead is in flight. It
 // stops at the first leading-block depletion (noting it in pendingRun;
 // the Exchange is deferred until after the landing, keeping |F_t| and the
-// stall set exactly as the sync schedule sees them), or when a stalled
-// run's awaited key does not strictly exceed the active minimum, or when
-// M_L is empty. It shares the sync consumer's emission loop (consume).
+// stall set exactly as the sync schedule sees them), or when the stall
+// guard stops it. It is the sync consumer's emission loop (consume) with
+// the same stall guard.
 //
-// The stall guard here is deliberately stricter than the sync consumer's
-// (<= instead of <, and the gallop's stall bound is correspondingly
-// exclusive): the in-flight read may be about to promote a stalled run,
-// and with duplicate keys the sync path's tie-break could order that run's
-// equal-keyed record first. Stopping on equality defers the decision to
-// post-landing code, where both paths see the same selector state.
-// Stopping early never breaks equivalence — the deferred records are
-// consumed by consumeUntilBlockEvent at exactly the state the sync
-// consumer sees.
+// The in-flight read may promote a stalled run, so a record this window
+// emits must precede every awaited record in (key, run) order, or the
+// landing could reorder it. For fixed-size records the inclusive guard
+// never admits one that does not: a pump that reads with a run stalled
+// starts at |F_t| = R+D, where some prefetched block precedes every
+// awaited block (DESIGN §6.2), so the active minimum stays strictly
+// ahead of the stall minimum until the window ends at its first
+// depletion — and the pump's later reads open no window. Varlen prefix
+// ties always wait. Stopping early would be safe anyway — deferred
+// records are consumed by consumeUntilBlockEvent at exactly the state
+// the sync consumer sees.
 func (m *merger[R]) consumeOverlapped() (int, error) {
-	consumed, h, err := m.consume(false)
+	consumed, h, err := m.consume()
 	if h >= 0 {
 		// Note the depletion, but do not process the Exchange —
 		// scheduler-visible state must not change while the read is in

@@ -1,9 +1,11 @@
 package srm
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -127,6 +129,47 @@ func TestMergeAsyncEquivalence(t *testing.T) {
 				t.Fatalf("system ops diverge: sync %d, async %d", sops, aops)
 			}
 		})
+	}
+}
+
+// Stall-key ties: the overlapped consumer admits a record equal to the
+// smallest awaited key, like the sync one, which is safe only because no
+// such tie ever pits an active run against a lower-indexed stalled run
+// whose block is in flight (DESIGN §6.2). Hundreds of small merges over a
+// handful of key values — per-run key ranges skewed so that runs stall on
+// each other's plateaus — under staggered, adversarial-fixed and random
+// placements must give identical records, values included, and identical
+// statistics in both modes.
+func TestMergeAsyncEquivalenceStallTies(t *testing.T) {
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d, b := 1+rng.Intn(4), 1+rng.Intn(6)
+		universe := 2 + rng.Intn(10)
+		runs := make([][]record.Record, 2+rng.Intn(8))
+		val := uint64(0)
+		for i := range runs {
+			lo, span := rng.Intn(universe), 1+rng.Intn(universe)
+			for n := 5 + rng.Intn(120); n > 0; n-- {
+				runs[i] = append(runs[i], record.Record{Key: record.Key(lo + rng.Intn(span)), Val: val})
+				val++
+			}
+			slices.SortStableFunc(runs[i], func(x, y record.Record) int { return cmp.Compare(x.Key, y.Key) })
+		}
+		kind := rng.Intn(3)
+		placement := func() runio.Placement {
+			switch kind {
+			case 0:
+				return runio.StaggeredPlacement{D: d}
+			case 1:
+				return runio.FixedPlacement{Disk: 0}
+			}
+			return &runio.RandomPlacement{D: d, Rng: rand.New(rand.NewSource(seed))}
+		}
+		s, a, sms, ams, sops, aops := mergeBothWays(t, d, b, runs, placement, len(runs))
+		if !slices.Equal(s, a) || sms != ams || sops != aops {
+			t.Fatalf("seed %d (D=%d B=%d runs=%d keys=%d placement=%d): async diverges from sync\nsync  %+v\nasync %+v",
+				seed, d, b, len(runs), universe, kind, sms, ams)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func TestSortRunsBackendEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.ResetStats()
-		formed, err := runform.MemoryLoad[record.Record](sys, file, 100, runio.StaggeredPlacement{D: d}, 0, 1)
+		formed, err := runform.MemoryLoad[record.Record](sys, file, 100, runio.StaggeredPlacement{D: d}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

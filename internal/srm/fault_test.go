@@ -26,7 +26,7 @@ func TestInjectedFaultsSurfaceAsErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		formed, err := runform.MemoryLoad[record.Record](sys, file, 50, runio.StaggeredPlacement{D: 3}, 0, 1)
+		formed, err := runform.MemoryLoad[record.Record](sys, file, 50, runio.StaggeredPlacement{D: 3}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestInjectedFaultsSurfaceAsErrors(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		formed, err := runform.MemoryLoad[record.Record](sys, file, 50, runio.StaggeredPlacement{D: 3}, 0, 1)
+		formed, err := runform.MemoryLoad[record.Record](sys, file, 50, runio.StaggeredPlacement{D: 3}, 0)
 		if err != nil {
 			return err
 		}
@@ -122,7 +122,7 @@ func TestSortUnderStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	formed, err := runform.MemoryLoad[record.Record](sys, file, 50, runio.StaggeredPlacement{D: 4}, 0, 1)
+	formed, err := runform.MemoryLoad[record.Record](sys, file, 50, runio.StaggeredPlacement{D: 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFaultStoreTransparentWhenIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	formed, err := runform.MemoryLoad[record.Record](sys, file, 40, runio.StaggeredPlacement{D: 2}, 0, 1)
+	formed, err := runform.MemoryLoad[record.Record](sys, file, 40, runio.StaggeredPlacement{D: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -629,7 +629,7 @@ const gallopAfter = 8
 // for a ParRead to deliver that run's leading block. It returns the number
 // of records written.
 func (m *merger[R]) consumeUntilBlockEvent() (int, error) {
-	consumed, h, err := m.consume(true)
+	consumed, h, err := m.consume()
 	if err == nil && h >= 0 {
 		m.blockEvent(h)
 	}
@@ -644,11 +644,15 @@ func (m *merger[R]) consumeUntilBlockEvent() (int, error) {
 //
 // The stall guard compares the active minimum with the smallest awaited
 // key sKey, which cannot change during the call (only block events, which
-// end it, touch the stall set). stallInclusive admits a fixed-size record
-// whose key equals sKey (the sync consumer, which waits only on sKey <
-// hKey); the overlapped consumer passes false and stops on equality too.
-// Variable-length prefix words only coarsen the true order, so a varlen
-// prefix tie always waits: the awaited record could truly precede it.
+// end it, touch the stall set). A fixed-size record whose key equals sKey
+// is admitted: both consumers wait only on sKey < hKey. That bound never
+// binds a fixed-size merge, overlapped or not — whenever a run is stalled
+// while the merge consumes, some prefetched block precedes its awaited
+// block, so an active head strictly precedes every awaited record in
+// (key, run) order (DESIGN §6.2 has the argument) — and it is kept as the
+// merge's safety net. Variable-length prefix words only coarsen the true
+// order, so a varlen prefix tie always waits: the awaited record could
+// truly precede it.
 //
 // Fixed-size records are emitted one loser-tree step at a time, each
 // straight into the writer's current block, until one run has won
@@ -656,17 +660,16 @@ func (m *merger[R]) consumeUntilBlockEvent() (int, error) {
 // admissible span (gallopSpan). Variable-length records always gallop.
 // Either way the emitted sequence is exactly the per-record order, so
 // the switch never changes output, schedule or statistics.
-func (m *merger[R]) consume(stallInclusive bool) (consumed, depleted int, err error) {
+func (m *merger[R]) consume() (consumed, depleted int, err error) {
 	haveStall := m.stallHeap.Len() > 0
 	var sKey uint64
 	if haveStall {
 		_, sKey = m.stallHeap.Min()
 	}
-	stallInclusive = stallInclusive && !m.varlen
 	streakRun, streak := -1, 0
 	for m.active.Len() > 0 {
 		h, hKey := m.active.Min()
-		if haveStall && (sKey < hKey || (sKey == hKey && !stallInclusive)) {
+		if haveStall && (sKey < hKey || (sKey == hKey && m.varlen)) {
 			// The globally next record is on disk in a stalled run's
 			// awaited block; the merge must wait for I/O.
 			return consumed, -1, nil
@@ -678,7 +681,7 @@ func (m *merger[R]) consume(stallInclusive bool) (consumed, depleted int, err er
 		b := m.lead[h]
 		n := 1
 		if m.varlen || streak > gallopAfter {
-			n = m.gallopSpan(h, haveStall, sKey, stallInclusive)
+			n = m.gallopSpan(h, haveStall, sKey)
 			err = m.out.AppendBlock(b[:n])
 		} else {
 			err = m.out.Put(b[0], record.Key(hKey))
@@ -704,13 +707,12 @@ func (m *merger[R]) consume(stallInclusive bool) (consumed, depleted int, err er
 // gallopSpan returns how many leading records of run h (the current
 // winner) may be emitted before the selector must re-decide: records that
 // beat the runner-up under the (key, run index) tie-break, and — when a
-// run is stalled — records admitted by the stall guard (inclusive for the
-// sync consumer's `sKey < hKey` wait, exclusive for the async consumer's
-// stricter `sKey <= hKey`). The guards the per-record loop would evaluate
-// are constant across the span, so bulk emission is exactly equivalent;
-// both bounds admit the current first record, so the span is ≥ 1 and the
-// merge always progresses.
-func (m *merger[R]) gallopSpan(h int, haveStall bool, sKey uint64, stallInclusive bool) int {
+// run is stalled — records admitted by the stall guard (inclusive of sKey
+// for fixed-size records, exclusive for varlen prefix words). The guards
+// the per-record loop would evaluate are constant across the span, so
+// bulk emission is exactly equivalent; both bounds admit the current first
+// record, so the span is ≥ 1 and the merge always progresses.
+func (m *merger[R]) gallopSpan(h int, haveStall bool, sKey uint64) int {
 	b := m.lead[h]
 	span := len(b)
 	if m.varlen {
@@ -744,7 +746,7 @@ func (m *merger[R]) gallopSpan(h int, haveStall bool, sKey uint64, stallInclusiv
 		}
 	}
 	if haveStall {
-		if n := record.CountBelow(b, record.Key(sKey), stallInclusive); n < span {
+		if n := record.CountBelow(b, record.Key(sKey), true); n < span {
 			span = n
 		}
 	}

@@ -19,7 +19,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		pl := runio.StaggeredPlacement{D: 4}
-		formed, err := runform.MemoryLoad[record.Record](sys, file, 200, pl, 0, 1)
+		formed, err := runform.MemoryLoad[record.Record](sys, file, 200, pl, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestParallelRandomPlacementDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		pl := &runio.RandomPlacement{D: 3, Rng: newRand(77)}
-		formed, err := runform.MemoryLoad[record.Record](sys, file, 100, pl, 0, 1)
+		formed, err := runform.MemoryLoad[record.Record](sys, file, 100, pl, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ func fullSort(t testing.TB, sys *pdisk.System, all []record.Record, load, r int,
 		t.Fatal(err)
 	}
 	sys.ResetStats()
-	formed, err := runform.MemoryLoad[record.Record](sys, file, load, placement, 0, 1)
+	formed, err := runform.MemoryLoad[record.Record](sys, file, load, placement, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestPropertyFullSort(t *testing.T) {
 		if staggered {
 			pl = runio.StaggeredPlacement{D: d}
 		}
-		formed, err := runform.MemoryLoad[record.Record](sys, file, 64, pl, 0, 1)
+		formed, err := runform.MemoryLoad[record.Record](sys, file, 64, pl, 0)
 		if err != nil {
 			return false
 		}

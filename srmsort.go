@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 
 	"srmsort/internal/analysis"
 	"srmsort/internal/dsm"
@@ -194,16 +193,6 @@ type Config struct {
 	// host wall-clock changes — but each concurrent merge holds its own
 	// M records of buffers. SRM variants only.
 	Workers int
-	// Cores bounds the goroutines run formation spreads its sorting
-	// over: each memory load (SRM and DSM alike) is sorted in per-core
-	// chunks and merged back. The SRM merge passes are always serial —
-	// one loser-tree step per record; run several merges at once with
-	// Workers instead. 0 (the default) or a negative value means
-	// GOMAXPROCS; 1 is the serial path. Output and every I/O statistic
-	// are byte-identical for every value (a property the test suite
-	// enforces); only host wall-clock changes. Cores composes with Async
-	// and Workers. PSV always runs serially.
-	Cores int
 	// Async overlaps I/O with computation: parallel reads are issued
 	// asynchronously and merged records are consumed while blocks are in
 	// flight, and output stripes are written behind the merge — the
@@ -340,15 +329,6 @@ func (c Config) MergeOrder() (r, m int, err error) {
 		return r, m, fmt.Errorf("srmsort: memory M=%d records yields merge order R=%d (<2); increase Memory/K", m, r)
 	}
 	return r, m, nil
-}
-
-// cores resolves the effective compute-core bound: Cores itself when
-// positive, GOMAXPROCS when zero or negative.
-func (c Config) cores() int {
-	if c.Cores > 0 {
-		return c.Cores
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // codec resolves the configured record codec ("" means fixed16).
@@ -496,7 +476,7 @@ func sortOrResume(records []Record, cfg Config, resume bool) ([]Record, Stats, e
 // arbitrary byte string compared lexicographically, Payload an arbitrary
 // byte string carried alongside. Records with equal keys are ordered by
 // payload bytes — the order is total on content, so the sorted output is
-// byte-identical across algorithms, backends and core counts. One
+// byte-identical across algorithms and backends. One
 // record's encoding (a small length prefix plus both byte strings) must
 // fit MaxVarRecordBytes.
 type VarRecord struct {
@@ -742,7 +722,7 @@ func sortSRM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 	if cfg.RunFormation == ReplacementSelection {
 		form, size = runform.ReplacementSelection[R], m
 	}
-	formed, err := form(sys, file, size, counting, 0, cfg.cores())
+	formed, err := form(sys, file, size, counting, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -842,7 +822,7 @@ func sortPSV[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 }
 
 func sortDSM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m, r int, cfg Config, stats *Stats, cp *checkpointer, tr *progressTracker) (func(func(R) error) error, error) {
-	runs, err := dsm.FormRuns[R](sys, file, (m+1)/2, cfg.Async, cfg.cores())
+	runs, err := dsm.FormRuns[R](sys, file, (m+1)/2, cfg.Async)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 
 	"srmsort/internal/ltree"
 	"srmsort/internal/pdisk"
+	"srmsort/internal/pmerge"
 	"srmsort/internal/record"
 	"srmsort/internal/runio"
 	"srmsort/internal/srm"
@@ -356,6 +357,107 @@ func FuzzSortStreamAsync(f *testing.F) {
 		}
 		if !bytes.Equal(out.Bytes(), syncOut.Bytes()) {
 			t.Fatal("async stream output differs from sync")
+		}
+	})
+}
+
+// sameRecords fails the test if two record slices differ anywhere —
+// byte-identical output is the contract every parallel path here makes.
+func sameRecords(t *testing.T, label string, got, want []record.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: record %d = %+v, want %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// FuzzParallelMergeEquiv fuzzes the multicore merge kernel's one load-
+// bearing claim: for ANY runs and ANY shard-boundary placement, the
+// sharded merge is byte-identical to the serial merge. Two legs:
+//
+//  1. Explicit sharding: pmerge.Split at a fuzzed shard count p (1..16,
+//     far past the record count for tiny inputs, so zero-record shards
+//     are routine), each shard merged serially into its extent — the
+//     assembly must equal the one-shot serial merge under both tie-break
+//     orders.
+//  2. Merge's own sharding: pmerge.Merge with cores ∈ {2, 3, 8}.
+//
+// The byte universe is deliberately tiny (one byte per key) so duplicate
+// keys straddle every boundary; byte 255 maps to MaxKey to pin the loser
+// tree's retired/sentinel handling; shapes cover duplicate-heavy,
+// all-equal, presorted and reversed inputs.
+func FuzzParallelMergeEquiv(f *testing.F) {
+	f.Add([]byte{}, uint8(3), uint8(16), uint8(0))                         // zero records, 16 shards: all empty
+	f.Add([]byte{7}, uint8(8), uint8(16), uint8(0))                        // 1 record, 16 shards: 15 empty
+	f.Add([]byte{5, 5, 5, 5, 5, 5}, uint8(2), uint8(3), uint8(1))          // all-equal
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint8(2), uint8(2))    // presorted
+	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1}, uint8(4), uint8(5), uint8(3)) // reversed
+	f.Add([]byte{255, 0, 255, 1, 255, 2}, uint8(2), uint8(4), uint8(0))    // MaxKey-heavy
+
+	f.Fuzz(func(t *testing.T, data []byte, numRunsRaw, pRaw, shapeRaw uint8) {
+		if len(data) > 1024 {
+			data = data[:1024]
+		}
+		numRuns := 1 + int(numRunsRaw%8)
+		p := 1 + int(pRaw%16)
+		keys := append([]byte(nil), data...)
+		switch shapeRaw % 4 {
+		case 1: // all-equal
+			for i := range keys {
+				keys[i] = keys[0]
+			}
+		case 2: // presorted
+			slices.Sort(keys)
+		case 3: // reversed
+			slices.Sort(keys)
+			slices.Reverse(keys)
+		}
+		recs := make([]record.Record, len(keys))
+		for i, by := range keys {
+			k := record.Key(by)
+			if by == 255 {
+				k = record.MaxKey
+			}
+			// A tiny Val universe forces (key, val) ties too, so the
+			// KeyVal order's deepest tie-break paths run.
+			recs[i] = record.Record{Key: k, Val: uint64(i % 13)}
+		}
+		gen := record.NewGenerator(1)
+		runs := gen.SplitIntoSortedRuns(append([]record.Record(nil), recs...), numRuns)
+		total := 0
+		for _, r := range runs {
+			total += len(r)
+		}
+
+		for _, order := range []pmerge.Order{pmerge.KeyRun, pmerge.KeyVal} {
+			want := make([]record.Record, total)
+			pmerge.Merge(runs, want, 1, order)
+
+			// Leg 1: fuzzed shard-boundary placement, assembled by hand.
+			got := make([]record.Record, total)
+			shards := pmerge.Split(runs, p, order)
+			if len(shards) != p {
+				t.Fatalf("Split returned %d shards, want %d", len(shards), p)
+			}
+			for _, sh := range shards {
+				sub := make([][]record.Record, len(runs))
+				for i := range runs {
+					sub[i] = runs[i][sh.Lo[i]:sh.Hi[i]]
+				}
+				pmerge.Merge(sub, got[sh.Out:sh.Out+sh.N], 1, order)
+			}
+			sameRecords(t, "sharded assembly", got, want)
+
+			// Leg 2: Merge's own goroutine sharding.
+			for _, cores := range []int{2, 3, 8} {
+				out := make([]record.Record, total)
+				pmerge.Merge(runs, out, cores, order)
+				sameRecords(t, "Merge cores path", out, want)
+			}
 		}
 	})
 }

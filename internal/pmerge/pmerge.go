@@ -1,7 +1,7 @@
 // Package pmerge shards one R-way merge of sorted record sequences across
-// P cores, cilksort-style: instead of splitting work by run (which PR 6's
-// Workers pool already does for disjoint merges), it splits *one* merge by
-// rank. A binary search over the key space finds, for each output cut
+// P cores, cilksort-style: instead of splitting work by run (which the
+// Workers pool does for disjoint merges), it splits *one* merge by rank.
+// A binary search over the key space finds, for each output cut
 // t = s*total/P, the per-sequence positions whose prefix records are
 // exactly the t globally smallest — so the P shards are independent merges
 // into pre-computed disjoint output extents, and the concatenated result
@@ -20,15 +20,16 @@
 //
 // Each shard reuses the ordinary loser-tree + gallop kernel
 // (internal/ltree, record.CountBelow/CountBelowKV), emitting runs of
-// records in bulk. Sort parallelizes an in-memory sort the same way:
-// per-core chunks sorted with record.SortRecords, merged back under
-// KeyVal, which is how parallel run formation stays byte-identical to the
-// serial path.
+// records in bulk.
+//
+// Nothing in the sort path calls this package: run formation is one
+// serial sort per memory load (DESIGN §11), and the chunked sort that
+// used Merge to parallelise it is gone. Split and Merge remain as a
+// tested standalone kernel until they are retired with their tests.
 package pmerge
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"srmsort/internal/ltree"
@@ -47,13 +48,9 @@ const (
 	KeyVal
 )
 
-// Tuning thresholds. Shards below minShard records aren't worth a
-// goroutine + splitter round; chunks below minChunk aren't worth
-// splitting a sort over.
-const (
-	minShard = 2048
-	minChunk = 1024
-)
+// minShard is the tuning threshold below which a shard isn't worth a
+// goroutine + splitter round.
+const minShard = 2048
 
 // Shard is one independent piece of a sharded R-way merge: the half-open
 // extent [Lo[i], Hi[i]) of every input sequence, and the [Out, Out+N)
@@ -268,55 +265,4 @@ func tieVal[R record.KernelRecord](r R, order Order) uint64 {
 		return r.V()
 	}
 	return 0
-}
-
-// Sort sorts rs in place by (key, val) — exactly record.SortRecords'
-// order — using up to cores goroutines: per-core contiguous chunks sorted
-// concurrently, then merged back under KeyVal through a scratch buffer.
-// cores <= 1 (or a slice too small to split profitably) is precisely
-// record.SortRecords.
-func Sort[R record.KernelRecord](rs []R, cores int) {
-	SortScratch(rs, nil, cores)
-}
-
-// SortScratch is Sort with a caller-provided scratch buffer (grown when
-// shorter than rs): the serial path hands it to the fixed-width radix
-// sort, the parallel path uses it for both the per-chunk sorts (disjoint
-// sub-slices) and the merge-back. Run formation reuses one buffer across
-// its load loop instead of allocating per load.
-func SortScratch[R record.KernelRecord](rs, scratch []R, cores int) {
-	if cores <= 0 {
-		cores = runtime.GOMAXPROCS(0)
-	}
-	p := cores
-	if p > len(rs)/minChunk {
-		p = len(rs) / minChunk
-	}
-	// Variable-length records (every record of a varlen sort carries a
-	// non-empty Ext) fall back to the serial sort: Split's cut points and
-	// the merge-back's (key, val) order work at the prefix-word level and
-	// cannot adjudicate prefix ties by content.
-	if p <= 1 || (len(rs) > 0 && rs[0].X() != "") {
-		record.SortRecordsScratch(rs, scratch)
-		return
-	}
-	if len(scratch) < len(rs) {
-		scratch = make([]R, len(rs))
-	} else {
-		scratch = scratch[:len(rs)]
-	}
-	seqs := make([][]R, p)
-	var wg sync.WaitGroup
-	for i := range seqs {
-		lo, hi := i*len(rs)/p, (i+1)*len(rs)/p
-		seqs[i] = rs[lo:hi]
-		wg.Add(1)
-		go func(c, s []R) {
-			defer wg.Done()
-			record.SortRecordsScratch(c, s)
-		}(seqs[i], scratch[lo:hi])
-	}
-	wg.Wait()
-	Merge(seqs, scratch, cores, KeyVal)
-	copy(rs, scratch)
 }

@@ -249,40 +249,3 @@ func TestMergeRejectsBadOutput(t *testing.T) {
 	}()
 	Merge([][]record.Record{{{Key: 1}, {Key: 2}}}, make([]record.Record, 1), 1, KeyRun)
 }
-
-// TestSortMatchesSortRecords checks that the parallel sort is exactly
-// record.SortRecords for every core count, across sizes that straddle the
-// chunking threshold and inputs with heavy duplication.
-func TestSortMatchesSortRecords(t *testing.T) {
-	g := record.NewGenerator(3)
-	inputs := map[string][]record.Record{
-		"empty":     nil,
-		"one":       g.Random(1),
-		"small":     g.Random(minChunk - 1),
-		"threshold": g.Random(2 * minChunk),
-		"random":    g.Random(50_000),
-		"dups":      g.WithDuplicates(30_000, 8),
-		"sorted":    g.Sorted(20_000),
-		"reversed":  g.Reversed(20_000),
-		"nearly":    g.NearlySorted(20_000, 0.1),
-	}
-	allEq := make([]record.Record, 10_000)
-	for i := range allEq {
-		allEq[i] = record.Record{Key: 7, Val: uint64(i * 37 % 1009)}
-	}
-	inputs["allequal"] = allEq
-	for name, in := range inputs {
-		want := append([]record.Record(nil), in...)
-		record.SortRecords(want)
-		wantEnc := encode(want)
-		for _, cores := range []int{0, 1, 2, 3, 8} {
-			t.Run(fmt.Sprintf("%s/cores=%d", name, cores), func(t *testing.T) {
-				got := append([]record.Record(nil), in...)
-				Sort(got, cores)
-				if !bytes.Equal(encode(got), wantEnc) {
-					t.Fatal("parallel sort diverges from SortRecords")
-				}
-			})
-		}
-	}
-}
